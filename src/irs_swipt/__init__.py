@@ -11,13 +11,13 @@ The library splits into:
     harness      Monte-Carlo sweeps, baselines, CSV/JSON output
 """
 
-from .bcd import SolveReport, bcd_solve, update_decoders, update_weights
+from .bcd import SolveReport, bcd_solve, mmse_refresh
 from .errors import (BracketError, ConditioningError, InfeasibleDirectionError,
                      InfeasibleSubproblemError, SolverError)
 from .feasibility import feasibility_check, max_eh_phase_step, max_eh_precoder
 from .harness import (ExperimentSpec, TrialResult, emit_results,
-                      load_experiment_spec, run_experiment, run_fixed_phase,
-                      run_no_irs, solve_with_init, summarize)
+                      load_experiment_spec, run_experiment, run_no_irs,
+                      solve_with_init, summarize)
 from .metrics import (EffectiveChannels, effective_channels, harvested_power,
                       harvested_power_quadratic, mse_matrix, total_power,
                       user_rate, weighted_sum_rate, wmmse_objective)

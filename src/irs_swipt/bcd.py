@@ -1,10 +1,14 @@
 """Outer block-coordinate descent: precoders, phases, decoders, weights.
 
 Each full sweep updates F by the SCA precoder solver, phi by the MM phase
-solver, then U and W in closed form.  Every block can only improve the
-weighted-MMSE surrogate, and after the U/W updates the surrogate equals the
-true weighted sum rate, so the rate trajectory is non-decreasing and every
-iterate stays feasible.
+solver, then refreshes U and W in closed form.  Every block can only improve
+the weighted-MMSE surrogate, and after the U/W refresh the surrogate equals
+the true weighted sum rate, so the rate trajectory is non-decreasing and
+every iterate stays feasible.
+
+The refresh builds the effective channels once per sweep; the same build
+gives the decoders, the weights, the sweep's rate (log det W_k at the MMSE
+optimum) and its harvested power.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .linalg import frob_sq, herm, hermitian_solve, hermitianize
-from .metrics import (effective_channels, harvested_power_quadratic,
-                      weighted_sum_rate)
+from .linalg import frob_sq, herm, hermitian_solve, hermitianize, logdet_pd
+from .metrics import (LN2, EffectiveChannels, effective_channels,
+                      harvested_power_quadratic)
 from .phase import phase_solve
 from .precoder import sca_precoder_solve
 from .scenario import ChannelSet, SystemConfig
@@ -67,30 +71,22 @@ class SolveReport:
         }
 
 
-def update_decoders(f: np.ndarray, phi: np.ndarray, channels: ChannelSet,
-                    config: SystemConfig) -> np.ndarray:
-    """MMSE receivers U_k = (sum_m Hbar F_m F_m^H Hbar^H + sigma2 I)^-1 Hbar F_k."""
-    eff = effective_channels(channels, phi, config)
-    sigma2 = config.noise_power_ir
-    u = np.empty((config.n_irs, config.n_ir_antennas, config.n_streams),
-                 dtype=complex)
-    for k in range(config.n_irs):
-        hbar = eff.hbar[k]
-        cov = sigma2 * np.eye(config.n_ir_antennas, dtype=complex)
-        for m in range(config.n_irs):
-            hf = hbar @ f[m]
-            cov += hf @ herm(hf)
-        u[k] = hermitian_solve(cov, hbar @ f[k])
-    return u
+def mmse_refresh(f: np.ndarray, eff: EffectiveChannels,
+                 config: SystemConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """Closed-form decoders, weights and the weighted sum rate they imply.
 
-
-def update_weights(f: np.ndarray, phi: np.ndarray, u: np.ndarray,
-                   channels: ChannelSet, config: SystemConfig) -> np.ndarray:
-    """W_k = inverse of the MMSE error covariance at the optimal decoder."""
-    eff = effective_channels(channels, phi, config)
+    With C_k = sum_m Hbar_k F_m F_m^H Hbar_k^H + sigma2 I, the MMSE decoder is
+    U_k = C_k^-1 Hbar_k F_k, its error covariance E_k = I - (Hbar_k F_k)^H U_k
+    and the weight W_k = E_k^-1.  At these optima the rate of IR k equals
+    -log det E_k, so the returned weighted sum rate (nats) needs no extra
+    solve.  Returns (U, W, wsr_nats).
+    """
     sigma2 = config.noise_power_ir
     d = config.n_streams
+    eye_d = np.eye(d, dtype=complex)
+    u = np.empty((config.n_irs, config.n_ir_antennas, d), dtype=complex)
     w = np.empty((config.n_irs, d, d), dtype=complex)
+    wsr_nats = 0.0
     for k in range(config.n_irs):
         hbar = eff.hbar[k]
         cov = sigma2 * np.eye(config.n_ir_antennas, dtype=complex)
@@ -98,14 +94,15 @@ def update_weights(f: np.ndarray, phi: np.ndarray, u: np.ndarray,
             hf = hbar @ f[m]
             cov += hf @ herm(hf)
         hf_k = hbar @ f[k]
-        e_star = np.eye(d, dtype=complex) - herm(hf_k) @ hermitian_solve(cov, hf_k)
-        e_star = hermitianize(e_star)
-        w[k] = hermitianize(hermitian_solve(e_star, np.eye(d, dtype=complex)))
-    return w
+        u_k = hermitian_solve(cov, hf_k)
+        u[k] = u_k
+        e_star = hermitianize(eye_d - herm(hf_k) @ u_k)
+        w[k] = hermitianize(hermitian_solve(e_star, eye_d))
+        wsr_nats -= config.rate_weights[k] * logdet_pd(e_star)
+    return u, w, wsr_nats
 
 
-def _check_init(f, phi, channels, config):
-    eff = effective_channels(channels, phi, config)
+def _check_init(f, phi, eff, config):
     power = frob_sq(f)
     harvest = harvested_power_quadratic(f, eff.g)
     if power > config.power_budget * (1.0 + 1e-6):
@@ -114,6 +111,17 @@ def _check_init(f, phi, channels, config):
         raise ValueError("initial point violates the harvest constraint")
     if config.n_elements and np.max(np.abs(np.abs(phi) - 1.0)) > 1e-9:
         raise ValueError("initial phases are not unit-modulus")
+
+
+def _track(report: SolveReport, iteration: int, f: np.ndarray,
+           eff: EffectiveChannels, wsr_nats: float) -> float:
+    """Append one sweep's rate, power and harvest to the report; returns
+    the rate in bits."""
+    wsr_bits = wsr_nats / LN2
+    report.wsr_trajectory.append((iteration, wsr_bits))
+    report.power_trajectory.append(frob_sq(f))
+    report.harvest_trajectory.append(harvested_power_quadratic(f, eff.g))
+    return wsr_bits
 
 
 def bcd_solve(channels: ChannelSet, config: SystemConfig,
@@ -131,22 +139,13 @@ def bcd_solve(channels: ChannelSet, config: SystemConfig,
     f, phi = init
     f = np.asarray(f, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
-    _check_init(f, phi, channels, config)
+    eff = effective_channels(channels, phi, config)
+    _check_init(f, phi, eff, config)
 
     report = SolveReport(wsr_trajectory=[], f=f, phi=phi, feasible=True,
                          iterations_used=0)
-
-    def track(iteration):
-        _, wsr_bits = weighted_sum_rate(f, phi, channels, config)
-        eff = effective_channels(channels, phi, config)
-        report.wsr_trajectory.append((iteration, wsr_bits))
-        report.power_trajectory.append(frob_sq(f))
-        report.harvest_trajectory.append(harvested_power_quadratic(f, eff.g))
-        return wsr_bits
-
-    track(0)
-    u = update_decoders(f, phi, channels, config)
-    w = update_weights(f, phi, u, channels, config)
+    u, w, wsr_nats = mmse_refresh(f, eff, config)
+    _track(report, 0, f, eff, wsr_nats)
 
     inner_kw = {} if inner_eps is None else {"eps": inner_eps}
     failures = 0
@@ -171,8 +170,8 @@ def bcd_solve(channels: ChannelSet, config: SystemConfig,
                 log.warning("phase block failed at sweep %d: %s", n, exc)
                 failed = True
 
-        u = update_decoders(f, phi, channels, config)
-        w = update_weights(f, phi, u, channels, config)
+        eff = effective_channels(channels, phi, config)
+        u, w, wsr_nats = mmse_refresh(f, eff, config)
 
         failures = failures + 1 if failed else 0
         if failures >= MAX_CONSECUTIVE_FAILURES:
@@ -183,7 +182,7 @@ def bcd_solve(channels: ChannelSet, config: SystemConfig,
                 f"{failures} consecutive failed BCD sweeps; last WSR "
                 f"{report.wsr_bits:.6f} bit/s/Hz")
 
-        wsr_bits = track(n)
+        wsr_bits = _track(report, n, f, eff, wsr_nats)
         report.iterations_used = n
         prev = report.wsr_trajectory[-2][1]
         if abs(wsr_bits - prev) < eps * max(abs(wsr_bits), 1e-30):

@@ -63,19 +63,7 @@ def _cmd_run(args) -> int:
                   f"Q {stats['q_mean']:.3e} W, "
                   f"feasible {stats['feasible_frac']:.0%}")
     else:
-        import io
-        buf = io.StringIO()
-        if args.format == "csv":
-            import tempfile
-            from pathlib import Path
-            with tempfile.TemporaryDirectory() as tmp:
-                p = Path(tmp) / "out.csv"
-                emit_results(results, "csv", p, spec=spec)
-                buf.write(p.read_text())
-        else:
-            buf.write(json.dumps({"records": [r.to_dict() for r in results],
-                                  "spec": spec.to_dict()}, indent=2))
-        print(buf.getvalue(), end="")
+        emit_results(results, format=args.format, path=sys.stdout, spec=spec)
     return 0
 
 

@@ -16,7 +16,9 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import TextIO
 
 from .bcd import SolveReport, bcd_solve
 from .errors import SolverError
@@ -136,32 +138,26 @@ def apply_sweep(experiment: str, config: SystemConfig, geometry: Geometry,
 
 
 def solve_with_init(channels: ChannelSet, config: SystemConfig,
-                    eps: float = 1e-4, n_max: int = 50) -> SolveReport:
-    """Feasibility check followed by the full joint solve."""
-    feasible, f0, phi0, q0 = feasibility_check(channels, config)
-    if not feasible:
-        return SolveReport(wsr_trajectory=[(0, 0.0)], f=f0, phi=phi0,
-                           feasible=False, iterations_used=0)
-    f0 = spread_streams(f0, channels, config, phi0)
-    return bcd_solve(channels, config, (f0, phi0), eps=eps, n_max=n_max)
+                    eps: float = 1e-4, n_max: int = 50,
+                    optimize_phase: bool = True) -> SolveReport:
+    """Feasibility check followed by the full joint solve.
 
-
-def run_no_irs(channels: ChannelSet, config: SystemConfig,
-               eps: float = 1e-4, n_max: int = 50) -> SolveReport:
-    """Baseline without the IRS: reflected links zeroed, phase block inert."""
-    return solve_with_init(channels.without_irs(), config, eps=eps, n_max=n_max)
-
-
-def run_fixed_phase(channels: ChannelSet, config: SystemConfig,
-                    eps: float = 1e-4, n_max: int = 50) -> SolveReport:
-    """Baseline with phases frozen at the feasibility-check solution."""
+    optimize_phase=False freezes the phases at the feasibility-check
+    solution (the fixed-phase baseline).
+    """
     feasible, f0, phi0, q0 = feasibility_check(channels, config)
     if not feasible:
         return SolveReport(wsr_trajectory=[(0, 0.0)], f=f0, phi=phi0,
                            feasible=False, iterations_used=0)
     f0 = spread_streams(f0, channels, config, phi0)
     return bcd_solve(channels, config, (f0, phi0), eps=eps, n_max=n_max,
-                     optimize_phase=False)
+                     optimize_phase=optimize_phase)
+
+
+def run_no_irs(channels: ChannelSet, config: SystemConfig,
+               eps: float = 1e-4, n_max: int = 50) -> SolveReport:
+    """Baseline without the IRS: reflected links zeroed, phase block inert."""
+    return solve_with_init(channels.without_irs(), config, eps=eps, n_max=n_max)
 
 
 def _max_harvest(channels: ChannelSet, config: SystemConfig,
@@ -188,14 +184,15 @@ def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int,
         feasible, q = _max_harvest(channels, config, with_irs=(method != "no-irs"))
         wsr, iters = 0.0, 0
     else:
-        runner = {"bcd": solve_with_init, "fixed-phase": run_fixed_phase,
+        runner = {"bcd": solve_with_init,
+                  "fixed-phase": partial(solve_with_init, optimize_phase=False),
                   "no-irs": run_no_irs}[method]
         try:
             report = runner(channels, config)
             feasible = report.feasible
             wsr = report.wsr_bits if feasible else 0.0
             iters = report.iterations_used
-            q = _trial_harvest(report, channels, config, method)
+            q = report.harvest_trajectory[-1] if feasible else 0.0
         except SolverError:
             feasible, wsr, iters, q = False, 0.0, 0, 0.0
 
@@ -204,16 +201,6 @@ def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int,
                        method=method, seed=seed, feasible=feasible,
                        wsr_bits=wsr, q_watts=q, iterations=iters,
                        wall_time_s=wall)
-
-
-def _trial_harvest(report: SolveReport, channels: ChannelSet,
-                   config: SystemConfig, method: str) -> float:
-    from .metrics import effective_channels, harvested_power_quadratic
-    if not report.feasible:
-        return 0.0
-    chans = channels.without_irs() if method == "no-irs" else channels
-    eff = effective_channels(chans, report.phi, config)
-    return harvested_power_quadratic(report.f, eff.g)
 
 
 def _trial_cell(args):
@@ -265,32 +252,40 @@ def summarize(results: list[TrialResult]) -> dict[tuple[float, str], dict]:
 
 
 def emit_results(results: list[TrialResult], format: str = "csv",
-                 path: str | Path = "results.csv",
-                 spec: ExperimentSpec | None = None) -> Path:
+                 path: str | Path | TextIO = "results.csv",
+                 spec: ExperimentSpec | None = None) -> Path | TextIO:
     """Write trial records to a CSV table or a JSON document.
 
     CSV holds one row per trial with full double precision; JSON mirrors the
-    records and embeds the spec for provenance.
+    records and embeds the spec for provenance.  path may also be an open
+    text stream, which is written to and left open.
     """
     if not results:
         raise ValueError("no results to emit")
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown format {format!r}; expected csv or json")
+    if hasattr(path, "write"):
+        _write_results(results, format, path, spec)
+        return path
     path = Path(path)
+    with open(path, "w", newline="") as fh:
+        _write_results(results, format, fh, spec)
+    return path
+
+
+def _write_results(results: list[TrialResult], format: str, fh: TextIO,
+                   spec: ExperimentSpec | None) -> None:
     if format == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(TrialResult.CSV_FIELDS)
-            for r in results:
-                writer.writerow(r.to_row())
-    elif format == "json":
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TrialResult.CSV_FIELDS)
+        for r in results:
+            writer.writerow(r.to_row())
+    else:
         doc = {"records": [r.to_dict() for r in results]}
         if spec is not None:
             doc["spec"] = spec.to_dict()
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    else:
-        raise ValueError(f"unknown format {format!r}; expected csv or json")
-    return path
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:

@@ -98,12 +98,9 @@ def harvested_power(f: np.ndarray, eff: EffectiveChannels,
     Q_l = eta * tr(sum_k Gbar_l F_k F_k^H Gbar_l^H); the weighted sum equals
     tr(sum_k F_k^H G F_k), and both forms agree to rounding.
     """
-    per_er = np.empty(config.n_ers)
-    for el in range(config.n_ers):
-        q = 0.0
-        for k in range(config.n_irs):
-            q += frob_sq(eff.gbar[el] @ f[k])
-        per_er[el] = config.eh_efficiency * q
+    received = np.einsum("lnb,kbd->lknd", eff.gbar, f)    # Gbar_l F_k
+    per_er = config.eh_efficiency * np.sum(np.abs(received) ** 2,
+                                           axis=(1, 2, 3))
     weighted = float(np.dot(config.eh_weights, per_er))
     return per_er, weighted
 

@@ -21,7 +21,7 @@ J is non-decreasing in p, so bisection applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -58,6 +58,7 @@ class MmState:
     anchor: np.ndarray      # (M,) unit-modulus anchor phi^(n)
     q: np.ndarray           # (lam_max I - Xi) anchor - v*
     q_hat: float            # linearized harvest right-hand side
+    w: np.ndarray           # g* + Upsilon anchor, the linearized harvest gradient
 
 
 class PhaseIterate(NamedTuple):
@@ -65,12 +66,18 @@ class PhaseIterate(NamedTuple):
     harvest: float          # true weighted harvested power at phi
 
 
-def _eh_quadratics(f: np.ndarray, channels: ChannelSet, config: SystemConfig,
-                   c: np.ndarray, f_tilde: np.ndarray):
-    """Harvest-side quadratics shared by the solver and the feasibility check."""
+def _harvest_forms(f: np.ndarray, channels: ChannelSet, config: SystemConfig
+                   ) -> tuple[PhaseQcqpData, np.ndarray, np.ndarray]:
+    """Harvest-only QCQP data (zero objective), plus the transmit covariance
+    F~ = sum_k F_k F_k^H and C = Z F~ Z^H that the rate terms also need."""
     m = config.n_elements
     eta = config.eh_efficiency
     alphas = config.eh_weights
+    f_tilde = np.zeros((config.n_bs_antennas, config.n_bs_antennas), dtype=complex)
+    for k in range(config.n_irs):
+        f_tilde += f[k] @ herm(f[k])
+    c = channels.z @ f_tilde @ herm(channels.z)             # (M, M)
+
     g_b = np.zeros((config.n_bs_antennas, config.n_bs_antennas), dtype=complex)
     g_r = np.zeros((m, m), dtype=complex)
     cross = np.zeros((config.n_bs_antennas, m), dtype=complex)
@@ -81,19 +88,25 @@ def _eh_quadratics(f: np.ndarray, channels: ChannelSet, config: SystemConfig,
     g_br = channels.z @ f_tilde @ cross
     upsilon = hermitianize(hermitianize(g_r) * c.T)
     direct = float(np.real(np.trace(g_b @ f_tilde)))
-    return upsilon, np.diag(g_br).copy(), direct
+    data = PhaseQcqpData(xi=np.zeros((m, m), dtype=complex), upsilon=upsilon,
+                         v=np.zeros(m, dtype=complex), g=np.diag(g_br).copy(),
+                         q_resid=config.eh_threshold - direct, lam_max=0.0,
+                         direct_harvest=direct, obj_const=0.0)
+    return data, f_tilde, c
+
+
+def assemble_eh_qcqp(f: np.ndarray, channels: ChannelSet,
+                     config: SystemConfig) -> PhaseQcqpData:
+    """Harvest-only variant (zero objective) used by the feasibility check."""
+    return _harvest_forms(f, channels, config)[0]
 
 
 def assemble_phase_qcqp(u: np.ndarray, w: np.ndarray, f: np.ndarray,
                         channels: ChannelSet,
                         config: SystemConfig) -> PhaseQcqpData:
     """Reduce the rate objective and harvest constraint to forms in phi."""
+    data, f_tilde, c = _harvest_forms(f, channels, config)
     m = config.n_elements
-    f_tilde = np.zeros((config.n_bs_antennas, config.n_bs_antennas), dtype=complex)
-    for k in range(config.n_irs):
-        f_tilde += f[k] @ herm(f[k])
-    c = channels.z @ f_tilde @ herm(channels.z)             # (M, M)
-
     b = np.zeros((m, m), dtype=complex)
     vmat = np.zeros((m, m), dtype=complex)
     obj_const = 0.0
@@ -110,27 +123,8 @@ def assemble_phase_qcqp(u: np.ndarray, w: np.ndarray, f: np.ndarray,
 
     xi = hermitianize(hermitianize(b) * c.T)
     lam_max = float(np.linalg.eigvalsh(xi)[-1]) if m else 0.0
-    upsilon, g_diag, direct = _eh_quadratics(f, channels, config, c, f_tilde)
-    return PhaseQcqpData(xi=xi, upsilon=upsilon, v=np.diag(vmat).copy(),
-                         g=g_diag, q_resid=config.eh_threshold - direct,
-                         lam_max=lam_max, direct_harvest=direct,
-                         obj_const=obj_const)
-
-
-def assemble_eh_qcqp(f: np.ndarray, channels: ChannelSet,
-                     config: SystemConfig) -> PhaseQcqpData:
-    """Harvest-only variant (zero objective) used by the feasibility check."""
-    m = config.n_elements
-    f_tilde = np.zeros((config.n_bs_antennas, config.n_bs_antennas), dtype=complex)
-    for k in range(config.n_irs):
-        f_tilde += f[k] @ herm(f[k])
-    c = channels.z @ f_tilde @ herm(channels.z)
-    upsilon, g_diag, direct = _eh_quadratics(f, channels, config, c, f_tilde)
-    zero = np.zeros((m, m), dtype=complex)
-    return PhaseQcqpData(xi=zero, upsilon=upsilon,
-                         v=np.zeros(m, dtype=complex), g=g_diag,
-                         q_resid=config.eh_threshold - direct, lam_max=0.0,
-                         direct_harvest=direct, obj_const=0.0)
+    return replace(data, xi=xi, v=np.diag(vmat).copy(), lam_max=lam_max,
+                   obj_const=obj_const)
 
 
 def phase_objective(phi: np.ndarray, data: PhaseQcqpData) -> float:
@@ -151,12 +145,14 @@ def true_harvest(phi: np.ndarray, data: PhaseQcqpData) -> float:
 
 
 def mm_prepare(data: PhaseQcqpData, phi_anchor: np.ndarray) -> MmState:
-    """Majorize at the anchor: q = (lam_max I - Xi) anchor - v*, and the
-    linearized harvest bound q_hat = q_resid + anchor^H Upsilon anchor."""
+    """Majorize at the anchor: q = (lam_max I - Xi) anchor - v*, the
+    linearized harvest bound q_hat = q_resid + anchor^H Upsilon anchor and
+    its gradient w = g* + Upsilon anchor."""
     q = data.lam_max * phi_anchor - data.xi @ phi_anchor - data.v.conj()
-    q_hat = data.q_resid + float(np.real(np.vdot(phi_anchor,
-                                                 data.upsilon @ phi_anchor)))
-    return MmState(anchor=phi_anchor, q=q, q_hat=q_hat)
+    upsilon_anchor = data.upsilon @ phi_anchor
+    q_hat = data.q_resid + float(np.real(np.vdot(phi_anchor, upsilon_anchor)))
+    return MmState(anchor=phi_anchor, q=q, q_hat=q_hat,
+                   w=data.g.conj() + upsilon_anchor)
 
 
 def _unit_phase(z: np.ndarray) -> np.ndarray:
@@ -167,15 +163,13 @@ def _unit_phase(z: np.ndarray) -> np.ndarray:
 def phase_closed_form(p: float, state: MmState,
                       data: PhaseQcqpData) -> np.ndarray:
     """Global optimum of the priced subproblem: align with q + p w."""
-    w = data.g.conj() + data.upsilon @ state.anchor
-    return _unit_phase(state.q + p * w)
+    return _unit_phase(state.q + p * state.w)
 
 
 def eh_slack(p: float, state: MmState, data: PhaseQcqpData) -> float:
     """J(p) = 2 Re{phi(p)^H (g* + Upsilon anchor)}, non-decreasing in p."""
-    w = data.g.conj() + data.upsilon @ state.anchor
-    phi = _unit_phase(state.q + p * w)
-    return 2.0 * float(np.real(np.vdot(phi, w)))
+    phi = phase_closed_form(p, state, data)
+    return 2.0 * float(np.real(np.vdot(phi, state.w)))
 
 
 def price_bisection(state: MmState, data: PhaseQcqpData,
@@ -190,20 +184,13 @@ def price_bisection(state: MmState, data: PhaseQcqpData,
     using the monotonicity of J(p); the returned phi sits on the feasible
     side of the bracket.
     """
-    w = data.g.conj() + data.upsilon @ state.anchor
     q_hat = state.q_hat
-
-    def solve(p):
-        return _unit_phase(state.q + p * w)
-
-    def slack(phi):
-        return 2.0 * float(np.real(np.vdot(phi, w)))
-
-    phi0 = solve(0.0)
-    if slack(phi0) >= q_hat or reflect_harvest(phi0, data) >= data.q_resid:
+    phi0 = phase_closed_form(0.0, state, data)
+    if (eh_slack(0.0, state, data) >= q_hat
+            or reflect_harvest(phi0, data) >= data.q_resid):
         return phi0, 0.0
 
-    j_limit = 2.0 * float(np.sum(np.abs(w)))
+    j_limit = 2.0 * float(np.sum(np.abs(state.w)))
     if j_limit < q_hat * (1.0 - 1e-9) - 1e-12:
         raise InfeasibleSubproblemError(
             f"harvest bound {q_hat:.6e} exceeds the reachable slack {j_limit:.6e}")
@@ -214,14 +201,14 @@ def price_bisection(state: MmState, data: PhaseQcqpData,
         # so no bracket exists; the feasible set is a vanishing neighborhood
         # of the aligned point, which also contains the anchor.  Keeping the
         # better of the two preserves the descent argument.
-        aligned = _unit_phase(w)
+        aligned = _unit_phase(state.w)
         best = max((aligned, state.anchor),
                    key=lambda phi: float(np.real(np.vdot(phi, state.q))))
         return best, float(2 ** MAX_DOUBLINGS)
 
     p_u = 1.0
     doublings = 0
-    while slack(solve(p_u)) < q_hat:
+    while eh_slack(p_u, state, data) < q_hat:
         p_u *= 2.0
         doublings += 1
         if doublings > MAX_DOUBLINGS:
@@ -231,11 +218,11 @@ def price_bisection(state: MmState, data: PhaseQcqpData,
 
     while p_u - p_l > eps * max(1.0, p_u):
         mid = 0.5 * (p_l + p_u)
-        if slack(solve(mid)) >= q_hat:
+        if eh_slack(mid, state, data) >= q_hat:
             p_u = mid
         else:
             p_l = mid
-    return solve(p_u), p_u
+    return phase_closed_form(p_u, state, data), p_u
 
 
 def phase_solve(u: np.ndarray, w: np.ndarray, f: np.ndarray,

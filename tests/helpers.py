@@ -8,8 +8,8 @@ so that agreement with the production implementations is meaningful.
 
 import numpy as np
 
-from irs_swipt import (ChannelSet, SystemConfig, update_decoders,
-                       update_weights)
+from irs_swipt import (ChannelSet, SystemConfig, effective_channels,
+                       mmse_refresh)
 from irs_swipt.linalg import herm
 
 
@@ -61,8 +61,8 @@ def wmmse_state(rng, config, channels=None, phi=None, f=None):
         phi = unit_phases(rng, config.n_elements)
     if f is None:
         f = random_precoders(rng, config)
-    u = update_decoders(f, phi, channels, config)
-    w = update_weights(f, phi, u, channels, config)
+    u, w, _ = mmse_refresh(f, effective_channels(channels, phi, config),
+                           config)
     return channels, phi, f, u, w
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import irs_swipt.bcd as bcd_module
 from irs_swipt import (bcd_solve, effective_channels, feasibility_check,
-                       harvested_power_quadratic, phase_solve,
-                       sca_precoder_solve, update_decoders, update_weights,
-                       weighted_sum_rate, wmmse_objective)
+                       harvested_power_quadratic, mmse_refresh, phase_solve,
+                       sca_precoder_solve, weighted_sum_rate, wmmse_objective)
+from irs_swipt.errors import SolverError
 from irs_swipt.feasibility import spread_streams
 from irs_swipt.linalg import frob_sq
 from irs_swipt.metrics import mse_matrix
@@ -27,10 +28,14 @@ def feasible_instance(rng, cfg, qbar_frac=0.5, sigma2=1.0):
     return ch, cfg_q, f0, phi0
 
 
+def refresh(f, phi, ch, cfg):
+    return mmse_refresh(f, effective_channels(ch, phi, cfg), cfg)
+
+
 class TestDecoderUpdate:
     def test_scalar_case(self):
         cfg, ch, f, phi = scalar_setup(h=1.0, p=1.0, sigma2=1.0)
-        u = update_decoders(f, phi, ch, cfg)
+        u, _, _ = refresh(f, phi, ch, cfg)
         assert u[0, 0, 0] == pytest.approx(0.5)
 
     def test_zero_precoder(self):
@@ -38,7 +43,7 @@ class TestDecoderUpdate:
         cfg = bench_config()
         ch = random_channels(rng, cfg)
         f = np.zeros((cfg.n_irs, cfg.n_bs_antennas, cfg.n_streams), complex)
-        u = update_decoders(f, unit_phases(rng, cfg.n_elements), ch, cfg)
+        u, _, _ = refresh(f, unit_phases(rng, cfg.n_elements), ch, cfg)
         assert np.max(np.abs(u)) == 0.0
 
     def test_minimizes_mse_trace(self):
@@ -60,8 +65,7 @@ class TestDecoderUpdate:
 class TestWeightUpdate:
     def test_scalar_case(self):
         cfg, ch, f, phi = scalar_setup(h=1.0, p=1.0, sigma2=1.0)
-        u = update_decoders(f, phi, ch, cfg)
-        w = update_weights(f, phi, u, ch, cfg)
+        _, w, _ = refresh(f, phi, ch, cfg)
         # the error variance halves, so the weight doubles
         assert w[0, 0, 0] == pytest.approx(2.0)
 
@@ -71,18 +75,19 @@ class TestWeightUpdate:
         ch = random_channels(rng, cfg)
         f = np.zeros((cfg.n_irs, cfg.n_bs_antennas, cfg.n_streams), complex)
         phi = unit_phases(rng, cfg.n_elements)
-        u = update_decoders(f, phi, ch, cfg)
-        w = update_weights(f, phi, u, ch, cfg)
+        _, w, _ = refresh(f, phi, ch, cfg)
         for k in range(cfg.n_irs):
             np.testing.assert_allclose(w[k], np.eye(cfg.n_streams), atol=1e-12)
 
     def test_rate_equivalence_after_updates(self):
         rng = np.random.default_rng(3)
         cfg = bench_config()
-        ch, phi, f, u, w = wmmse_state(rng, cfg)
+        ch, phi, f, _, _ = wmmse_state(rng, cfg)
+        u, w, refresh_nats = refresh(f, phi, ch, cfg)
         nats, _ = weighted_sum_rate(f, phi, ch, cfg)
         h = wmmse_objective(w, u, f, phi, ch, cfg)
         assert abs(h - nats) < 1e-8 * (1.0 + nats)
+        assert refresh_nats == pytest.approx(nats, rel=1e-9)
 
 
 class TestBcdSolve:
@@ -100,6 +105,43 @@ class TestBcdSolve:
             assert frob_sq(report.f) <= cfg_q.power_budget * (1 + 1e-6)
             assert (harvested_power_quadratic(report.f, eff.g)
                     >= cfg_q.eh_threshold * (1 - 1e-6))
+
+    def test_single_precoder_failure_is_absorbed(self, monkeypatch):
+        rng = np.random.default_rng(500)
+        ch, cfg_q, f0, phi0 = feasible_instance(rng, bench_config(m=5))
+        real = bcd_module.sca_precoder_solve
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise SolverError("injected precoder failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bcd_module, "sca_precoder_solve", fails_once)
+        report = bcd_solve(ch, cfg_q, (f0, phi0))
+        assert len(calls) >= 2
+        rates = [r for _, r in report.wsr_trajectory]
+        for a, b in zip(rates, rates[1:]):
+            assert b >= a - 1e-9
+        eff = effective_channels(ch, report.phi, cfg_q)
+        assert frob_sq(report.f) <= cfg_q.power_budget * (1 + 1e-6)
+        assert (harvested_power_quadratic(report.f, eff.g)
+                >= cfg_q.eh_threshold * (1 - 1e-6))
+
+    def test_persistent_precoder_failure_aborts(self, monkeypatch):
+        rng = np.random.default_rng(501)
+        ch, cfg_q, f0, phi0 = feasible_instance(rng, bench_config(m=5))
+        calls = []
+
+        def always_fails(*args, **kwargs):
+            calls.append(None)
+            raise SolverError("injected precoder failure")
+
+        monkeypatch.setattr(bcd_module, "sca_precoder_solve", always_fails)
+        with pytest.raises(SolverError, match="consecutive failed BCD sweeps"):
+            bcd_solve(ch, cfg_q, (f0, phi0))
+        assert len(calls) == bcd_module.MAX_CONSECUTIVE_FAILURES
 
     def test_no_irs_reduction_matches_precoder_only(self):
         rng = np.random.default_rng(4)
@@ -123,8 +165,7 @@ class TestBcdSolve:
         report = bcd_solve(ch, cfg_q, (f0, phi0), eps=1e-10, n_max=400,
                            inner_eps=1e-10)
         f, phi = report.f, report.phi
-        u = update_decoders(f, phi, ch, cfg_q)
-        w = update_weights(f, phi, u, ch, cfg_q)
+        u, w, _ = refresh(f, phi, ch, cfg_q)
         base = report.wsr_bits
 
         f_re, _ = sca_precoder_solve(u, w, phi, ch, f, cfg_q)

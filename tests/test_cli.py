@@ -62,6 +62,20 @@ class TestRunCommand:
         main(["run", spec, "--out", str(out), "--trials", "2", "--seed", "9"])
         assert len(out.read_text().splitlines()) == 1 + 4
 
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        spec = write(tmp_path, "spec.json", spec_doc())
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"results.{fmt}"
+            assert main(["run", spec, "--out", str(out), "--format", fmt]) == 0
+            capsys.readouterr()
+            assert main(["run", spec, "--format", fmt]) == 0
+            printed = capsys.readouterr().out
+            if fmt == "csv":
+                assert printed.encode() == out.read_bytes()
+            else:
+                assert (json.loads(printed)["records"]
+                        == json.loads(out.read_text())["records"])
+
     def test_bad_spec_fails_with_diagnostic(self, tmp_path, capsys):
         spec = write(tmp_path, "bad.json", {**spec_doc(), "experiment": "nope"})
         assert main(["run", spec]) == 2

@@ -5,8 +5,7 @@ import pytest
 
 from irs_swipt import (ChannelSet, ExperimentSpec, Geometry, SystemConfig,
                        emit_results, feasibility_check, generate_scenario,
-                       run_experiment, run_fixed_phase, run_no_irs,
-                       solve_with_init, summarize)
+                       run_experiment, run_no_irs, solve_with_init, summarize)
 from irs_swipt.harness import TrialResult, apply_sweep, derive_seed
 
 
@@ -87,7 +86,7 @@ class TestBaselines:
     def test_fixed_phase_trajectory_monotone(self):
         cfg = quick_config(m=14)
         ch = generate_scenario(cfg, quick_geometry(), seed=5)
-        report = run_fixed_phase(ch, cfg)
+        report = solve_with_init(ch, cfg, optimize_phase=False)
         assert report.feasible
         rates = [r for _, r in report.wsr_trajectory]
         for a, b in zip(rates, rates[1:]):
@@ -121,7 +120,7 @@ class TestBaselines:
             for seed in range(12):
                 ch = generate_scenario(cfg, geom, seed)
                 full = solve_with_init(ch, cfg)
-                fixed = run_fixed_phase(ch, cfg)
+                fixed = solve_with_init(ch, cfg, optimize_phase=False)
                 if full.feasible and fixed.feasible:
                     gaps.append(full.wsr_bits - fixed.wsr_bits)
             assert len(gaps) >= 5
@@ -136,7 +135,7 @@ class TestBaselines:
         for seed in range(20):
             ch = generate_scenario(cfg, geom, seed)
             full = solve_with_init(ch, cfg)
-            fixed = run_fixed_phase(ch, cfg)
+            fixed = solve_with_init(ch, cfg, optimize_phase=False)
             bare = run_no_irs(ch, cfg)
             wsr = full.wsr_bits if full.feasible else 0.0
             gains_no_irs.append(wsr - (bare.wsr_bits if bare.feasible else 0.0))

@@ -155,6 +155,11 @@ class TestHarvestedPower:
         assert abs(weighted - harvested_power_quadratic(f, eff.g)) < 1e-10
         assert weighted == pytest.approx(harvest_direct(f, phi, ch, cfg),
                                          rel=1e-12)
+        for el in range(cfg.n_ers):
+            gbar = effective_channel_direct(ch.g_b[el], ch.g_r[el], phi, ch.z)
+            q_l = cfg.eh_efficiency * sum(np.linalg.norm(gbar @ f[k]) ** 2
+                                          for k in range(cfg.n_irs))
+            assert per_er[el] == pytest.approx(q_l, rel=1e-12)
 
 
 class TestMseMatrix:

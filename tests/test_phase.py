@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from irs_swipt import (assemble_phase_qcqp, effective_channels, eh_slack,
                        phase_solve, price_bisection, wmmse_objective)
 from irs_swipt.errors import InfeasibleSubproblemError
 from irs_swipt.linalg import herm
-from irs_swipt.phase import (MmState, PhaseQcqpData, phase_objective,
-                             reflect_harvest, true_harvest)
+from irs_swipt.phase import (PhaseQcqpData, phase_objective, reflect_harvest,
+                             true_harvest)
 
 from helpers import (bench_config, crandn, phase_grid_best, unit_phases,
                      wmmse_state)
@@ -127,12 +129,12 @@ class TestMmPrepare:
 class TestClosedForm:
     def test_extracts_phases(self):
         data = make_phase_data(np.random.default_rng(7), 2)
-        state = MmState(anchor=np.ones(2, dtype=complex),
-                        q=np.array([1.0, 1j]), q_hat=0.0)
         zero = PhaseQcqpData(xi=data.xi, upsilon=np.zeros((2, 2), complex),
                              v=data.v, g=np.zeros(2, complex), q_resid=0.0,
                              lam_max=data.lam_max, direct_harvest=0.0,
                              obj_const=0.0)
+        state = replace(mm_prepare(zero, np.ones(2, dtype=complex)),
+                        q=np.array([1.0, 1j]))
         np.testing.assert_allclose(phase_closed_form(0.0, state, zero),
                                    [1.0, 1j], atol=1e-15)
 
@@ -142,8 +144,8 @@ class TestClosedForm:
                              v=data.v, g=np.zeros(3, complex), q_resid=0.0,
                              lam_max=data.lam_max, direct_harvest=0.0,
                              obj_const=0.0)
-        state = MmState(anchor=np.ones(3, dtype=complex),
-                        q=np.array([0.0, 2.0, -1j]), q_hat=0.0)
+        state = replace(mm_prepare(zero, np.ones(3, dtype=complex)),
+                        q=np.array([0.0, 2.0, -1j]))
         phi = phase_closed_form(0.0, state, zero)
         assert phi[0] == 1.0 + 0j
 
@@ -282,7 +284,7 @@ class TestPriceBisection:
             j0 = eh_slack(0.0, state, data)
             j_inf = 2.0 * float(np.sum(np.abs(w)))
             q_hat = j0 + 0.7 * (j_inf - j0)
-            state = MmState(anchor=anchor, q=state.q, q_hat=q_hat)
+            state = replace(state, q_hat=q_hat)
             phi, p = price_bisection(state, data)
             value = 2.0 * np.real(np.vdot(phi, state.q))
             grid = phase_grid_best(state.q, w, q_hat)
