@@ -24,7 +24,7 @@ from .metrics import (EffectiveChannels, effective_channels, harvested_power,
 from .phase import (MmState, PhaseQcqpData, assemble_phase_qcqp, eh_slack,
                     mm_prepare, phase_closed_form, phase_solve,
                     price_bisection)
-from .precoder import (EigenCache, QuadraticData, build_quadratic, compute_mu,
+from .precoder import (QuadraticData, build_quadratic, compute_mu,
                        dual_bisection, power_of_lambda, precoder_closed_form,
                        sca_precoder_solve)
 from .scenario import (ChannelSet, Geometry, SystemConfig, generate_scenario,

@@ -8,7 +8,7 @@ every iterate stays feasible.
 
 The refresh builds the effective channels once per sweep; the same build
 gives the decoders, the weights, the sweep's rate (log det W_k at the MMSE
-optimum) and its harvested power.
+optimum), its harvested power, and the next sweep's precoder block.
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ def bcd_solve(channels: ChannelSet, config: SystemConfig,
     for n in range(1, n_max + 1):
         failed = False
         try:
-            f_new, prec_traj = sca_precoder_solve(u, w, phi, channels, f,
-                                                  config, **inner_kw)
+            f_new, prec_traj = sca_precoder_solve(u, w, eff, f, config,
+                                                  **inner_kw)
             f = f_new
             report.precoder_inner_iters.append(len(prec_traj) - 1)
         except SolverError as exc:

@@ -16,7 +16,7 @@ import numpy as np
 from .linalg import frob_sq, max_eigpair
 from .metrics import EffectiveChannels, effective_channels, \
     harvested_power_quadratic
-from .phase import PhaseQcqpData, assemble_eh_qcqp
+from .phase import PhaseQcqpData, _linearize_harvest, _unit_phase, assemble_eh_qcqp
 from .scenario import ChannelSet, SystemConfig
 
 FEAS_MAX_ITER = 200
@@ -42,8 +42,7 @@ def max_eh_phase_step(data: PhaseQcqpData,
                       phi_anchor: np.ndarray) -> np.ndarray:
     """One SCA ascent step on the harvest objective: align with its
     linearization g* + Upsilon anchor.  Zero entries map to phase 1."""
-    w = data.g.conj() + data.upsilon @ phi_anchor
-    return np.exp(1j * np.angle(w))
+    return _unit_phase(_linearize_harvest(data, phi_anchor)[1])
 
 
 def spread_streams(f: np.ndarray, channels: ChannelSet, config: SystemConfig,

@@ -144,15 +144,19 @@ def true_harvest(phi: np.ndarray, data: PhaseQcqpData) -> float:
     return reflect_harvest(phi, data) + data.direct_harvest
 
 
-def mm_prepare(data: PhaseQcqpData, phi_anchor: np.ndarray) -> MmState:
-    """Majorize at the anchor: q = (lam_max I - Xi) anchor - v*, the
-    linearized harvest bound q_hat = q_resid + anchor^H Upsilon anchor and
-    its gradient w = g* + Upsilon anchor."""
-    q = data.lam_max * phi_anchor - data.xi @ phi_anchor - data.v.conj()
+def _linearize_harvest(data: PhaseQcqpData,
+                       phi_anchor: np.ndarray) -> tuple[float, np.ndarray]:
+    """(q_hat, w) of the harvest bound 2 Re{phi^H w} >= q_hat at the anchor:
+    q_hat = q_resid + anchor^H Upsilon anchor, w = g* + Upsilon anchor."""
     upsilon_anchor = data.upsilon @ phi_anchor
     q_hat = data.q_resid + float(np.real(np.vdot(phi_anchor, upsilon_anchor)))
-    return MmState(anchor=phi_anchor, q=q, q_hat=q_hat,
-                   w=data.g.conj() + upsilon_anchor)
+    return q_hat, data.g.conj() + upsilon_anchor
+
+
+def mm_prepare(data: PhaseQcqpData, phi_anchor: np.ndarray) -> MmState:
+    """Majorize at the anchor: q = (lam_max I - Xi) anchor - v*; (q_hat, w)."""
+    q = data.lam_max * phi_anchor - data.xi @ phi_anchor - data.v.conj()
+    return MmState(phi_anchor, q, *_linearize_harvest(data, phi_anchor))
 
 
 def _unit_phase(z: np.ndarray) -> np.ndarray:

@@ -15,23 +15,26 @@ F^(n), which turns each iteration into a convex problem whose solution is
     F_k(lambda, mu) = (A + lambda I)^+ (L_k + mu G F_k^(n)),
 
 with mu set by the linearized-harvest slackness and lambda found by
-bisection on the transmit power, which is non-increasing in lambda.
-The pseudoinverse is applied in the eigenbasis of A, computed once and
-reused across all bisection evaluations.
+bisection on the transmit power, which is non-increasing in lambda.  With
+inv = diag (A + lambda I)^+ in the eigenbasis of A and the per-eigenvalue
+sums s_LL = sum |L~|^2, s_LG = sum Re(G~F* L~), s_GG = sum |G~F|^2 of the
+projected terms (over users and streams, once per anchor), each probe is
+O(N_B): mu = max(0, q_tilde - 2 inv.s_LG) / (2 inv.s_GG) and
+P = inv^2.(s_LL + 2 mu s_LG + mu^2 s_GG).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BracketError, InfeasibleDirectionError
 from .linalg import frob_sq, herm, hermitianize
-from .metrics import EffectiveChannels, effective_channels, harvested_power_quadratic
-from .scenario import ChannelSet, SystemConfig
+from .metrics import EffectiveChannels, harvested_power_quadratic
+from .scenario import SystemConfig
 
 log = logging.getLogger(__name__)
 
@@ -42,12 +45,18 @@ MAX_DOUBLINGS = 60
 EIG_CUTOFF = 1e-12  # relative threshold below which eigen-directions map to zero
 
 
-@dataclass
-class EigenCache:
-    """Eigendecomposition of A: basis @ diag(values) @ basis^H."""
-
-    basis: np.ndarray   # (N_B, N_B) unitary
-    values: np.ndarray  # (N_B,) non-negative
+def _anchor_fields(g: np.ndarray, basis: np.ndarray, lin_proj: np.ndarray,
+                   f_anchor: np.ndarray, eh_threshold: float) -> dict:
+    """The QuadraticData fields that depend on the harvest anchor."""
+    gfa = np.einsum("ij,kjd->kid", g, f_anchor)
+    gfa_proj = np.einsum("ij,kjd->kid", herm(basis), gfa)
+    x = np.stack((lin_proj, gfa_proj))
+    gram = np.real(np.einsum("xkid,ykid->xyi", x.conj(), x))  # per eigenvalue
+    scale = np.linalg.norm(g) * np.sqrt(max(frob_sq(f_anchor), 1e-300))
+    return dict(f_anchor=f_anchor, gfa=gfa, gfa_proj=gfa_proj,
+                q_tilde=eh_threshold + float(np.real(np.vdot(f_anchor, gfa))),
+                s_ll=gram[0, 0], s_lg=gram[1, 0], s_gg=gram[1, 1],
+                degenerate=np.sqrt(frob_sq(gfa)) <= 1e-13 * max(scale, 1e-300))
 
 
 @dataclass
@@ -57,23 +66,32 @@ class QuadraticData:
     a: np.ndarray           # (N_B, N_B) Hermitian PSD
     lin: np.ndarray         # (K_I, N_B, d), L_k
     g: np.ndarray           # (N_B, N_B) harvest quadratic
-    f_anchor: np.ndarray    # (K_I, N_B, d)
-    q_tilde: float          # linearized harvest right-hand side
-    eig: EigenCache
+    basis: np.ndarray       # (N_B, N_B) eigenvectors of A
+    values: np.ndarray      # (N_B,) eigenvalues of A, clipped at zero
     lin_proj: np.ndarray    # basis^H @ L_k
+    f_anchor: np.ndarray    # (K_I, N_B, d)
     gfa: np.ndarray         # G @ F_anchor_k
     gfa_proj: np.ndarray    # basis^H @ (G F_anchor_k)
+    q_tilde: float          # linearized harvest right-hand side
+    s_ll: np.ndarray        # (N_B,) per-eigenvalue sums of |lin_proj|^2,
+    s_lg: np.ndarray        #   Re(conj(gfa_proj) lin_proj)
+    s_gg: np.ndarray        #   and |gfa_proj|^2
+    degenerate: bool        # G F_anchor is numerically zero
+
+    @classmethod
+    def from_terms(cls, a: np.ndarray, lin: np.ndarray, g: np.ndarray,
+                   f_anchor: np.ndarray, eh_threshold: float) -> QuadraticData:
+        """Eigendecompose the Hermitian A, project L onto it, and anchor."""
+        vals, basis = np.linalg.eigh(a)
+        lin_proj = np.einsum("ij,kjd->kid", herm(basis), lin)
+        return cls(a, lin, g, basis, np.maximum(vals, 0.0), lin_proj,
+                   **_anchor_fields(g, basis, lin_proj, f_anchor, eh_threshold))
 
     def with_anchor(self, f_anchor: np.ndarray,
-                    eh_threshold: float) -> "QuadraticData":
+                    eh_threshold: float) -> QuadraticData:
         """Re-anchor the harvest linearization, reusing A and its eigenbasis."""
-        gfa = np.einsum("ij,kjd->kid", self.g, f_anchor)
-        q_tilde = eh_threshold + float(
-            sum(np.real(np.vdot(f_anchor[k], gfa[k])) for k in range(len(gfa))))
-        gfa_proj = np.einsum("ij,kjd->kid", herm(self.eig.basis), gfa)
-        return QuadraticData(a=self.a, lin=self.lin, g=self.g,
-                             f_anchor=f_anchor, q_tilde=q_tilde, eig=self.eig,
-                             lin_proj=self.lin_proj, gfa=gfa, gfa_proj=gfa_proj)
+        return replace(self, **_anchor_fields(
+            self.g, self.basis, self.lin_proj, f_anchor, eh_threshold))
 
 
 class PrecoderIterate(NamedTuple):
@@ -85,32 +103,33 @@ class PrecoderIterate(NamedTuple):
 def build_quadratic(u: np.ndarray, w: np.ndarray, eff: EffectiveChannels,
                     f_anchor: np.ndarray, config: SystemConfig,
                     eh_threshold: float | None = None) -> QuadraticData:
-    """Assemble A, the linear terms, the harvest anchor data, and the
-    eigenbasis cache for the precoder subproblem."""
-    n_b = config.n_bs_antennas
-    a = np.zeros((n_b, n_b), dtype=complex)
-    lin = np.empty_like(f_anchor)
-    for k in range(config.n_irs):
-        hu = herm(eff.hbar[k]) @ u[k]                       # (N_B, d)
-        a += config.rate_weights[k] * hu @ w[k] @ herm(hu)
-        lin[k] = config.rate_weights[k] * hu @ w[k]
-    a = hermitianize(a)
-    vals, basis = np.linalg.eigh(a)
-    eig = EigenCache(basis=basis, values=np.maximum(vals, 0.0))
+    """Assemble A, the linear terms and the harvest anchor data of the
+    precoder subproblem."""
+    hu = np.einsum("kni,knd->kid", eff.hbar.conj(), u)      # Hbar_k^H U_k
+    lin = np.asarray(config.rate_weights)[:, None, None] * hu @ w
+    a = hermitianize(np.einsum("kid,kjd->ij", lin, hu.conj()))
     qbar = config.eh_threshold if eh_threshold is None else eh_threshold
-    data = QuadraticData(a=a, lin=lin, g=eff.g, f_anchor=f_anchor,
-                         q_tilde=0.0, eig=eig,
-                         lin_proj=np.einsum("ij,kjd->kid", herm(basis), lin),
-                         gfa=np.empty_like(f_anchor),
-                         gfa_proj=np.empty_like(f_anchor))
-    return data.with_anchor(f_anchor, qbar)
+    return QuadraticData.from_terms(a, lin, eff.g, f_anchor, qbar)
 
 
 def _shift_inverse(lam: float, data: QuadraticData) -> np.ndarray:
     """Diagonal of (A + lambda I)^+ in the cached eigenbasis."""
-    den = data.eig.values + lam
+    den = data.values + lam
     cutoff = EIG_CUTOFF * max(float(den.max()), 1e-300)
     return np.where(den > cutoff, 1.0 / np.maximum(den, cutoff), 0.0)
+
+
+def _probe(lam: float, data: QuadraticData) -> tuple[np.ndarray, float]:
+    """(A + lambda I)^+ diagonal and the harvest multiplier at lambda."""
+    inv = _shift_inverse(lam, data)
+    c0 = 2.0 * float(inv @ data.s_lg)
+    if c0 >= data.q_tilde:
+        return inv, 0.0
+    den = 2.0 * float(inv @ data.s_gg)
+    if den <= 0.0 or data.degenerate:
+        raise InfeasibleDirectionError(
+            "harvest constraint binds but G F_anchor is numerically zero")
+    return inv, (data.q_tilde - c0) / den
 
 
 def precoder_closed_form(lam: float, mu: float,
@@ -118,36 +137,20 @@ def precoder_closed_form(lam: float, mu: float,
     """F_k = (A + lambda I)^+ (L_k + mu G F_anchor_k) via the eigenbasis."""
     inv = _shift_inverse(lam, data)
     rhs = data.lin_proj + mu * data.gfa_proj
-    return np.einsum("ij,kjd->kid", data.eig.basis, inv[None, :, None] * rhs)
+    return np.einsum("ij,kjd->kid", data.basis, inv[None, :, None] * rhs)
 
 
 def compute_mu(lam: float, data: QuadraticData) -> float:
     """Harvest multiplier: zero if the mu = 0 solution already meets the
     linearized constraint, otherwise the value that makes it tight."""
-    inv = _shift_inverse(lam, data)
-    c0 = 0.0
-    den = 0.0
-    for k in range(len(data.lin)):
-        c0 += 2.0 * float(np.real(np.vdot(data.gfa_proj[k],
-                                          inv[:, None] * data.lin_proj[k])))
-        den += 2.0 * float(np.real(np.vdot(data.gfa_proj[k],
-                                           inv[:, None] * data.gfa_proj[k])))
-    if c0 >= data.q_tilde:
-        return 0.0
-    gfa_norm = np.sqrt(sum(frob_sq(x) for x in data.gfa))
-    scale = np.linalg.norm(data.g) * np.sqrt(max(frob_sq(data.f_anchor), 1e-300))
-    if den <= 0.0 or gfa_norm <= 1e-13 * max(scale, 1e-300):
-        raise InfeasibleDirectionError(
-            "harvest constraint binds but G F_anchor is numerically zero")
-    return (data.q_tilde - c0) / den
+    return _probe(lam, data)[1]
 
 
 def power_of_lambda(lam: float, data: QuadraticData) -> float:
     """Transmit power of the mu-adjusted closed-form solution at lambda."""
-    mu = compute_mu(lam, data)
-    inv = _shift_inverse(lam, data)
-    rhs = data.lin_proj + mu * data.gfa_proj
-    return float(np.sum(np.abs(inv[None, :, None] * rhs) ** 2))
+    inv, mu = _probe(lam, data)
+    return float(inv ** 2 @ (data.s_ll + 2.0 * mu * data.s_lg
+                             + mu ** 2 * data.s_gg))
 
 
 def dual_bisection(data: QuadraticData, p_t: float,
@@ -164,16 +167,16 @@ def dual_bisection(data: QuadraticData, p_t: float,
         mu = compute_mu(0.0, data)
         return precoder_closed_form(0.0, mu, data), 0.0, mu
 
-    lam_u = 1.0
-    doublings = 0
-    while power_of_lambda(lam_u, data) > p_t:
+    lam_u, doublings = 1.0, 0
+    p_at_u = power_of_lambda(lam_u, data)
+    while p_at_u > p_t:
         lam_u *= 2.0
         doublings += 1
         if doublings > MAX_DOUBLINGS:
             raise BracketError("could not bracket the power multiplier")
+        p_at_u = power_of_lambda(lam_u, data)
     lam_l = lam_u / 2.0 if doublings > 0 else 0.0
 
-    p_at_u = power_of_lambda(lam_u, data)
     for _ in range(256):
         bracket_done = lam_u - lam_l <= eps * max(1.0, lam_u)
         if bracket_done and p_t - p_at_u <= 1e-8 * p_t:
@@ -192,26 +195,21 @@ def dual_bisection(data: QuadraticData, p_t: float,
 
 def sca_objective(f: np.ndarray, data: QuadraticData) -> float:
     """z(F) = sum_k tr(F_k^H A F_k) - 2 Re sum_k tr(L_k^H F_k)."""
-    z = 0.0
-    for k in range(len(f)):
-        z += float(np.real(np.vdot(f[k], data.a @ f[k])))
-        z -= 2.0 * float(np.real(np.vdot(data.lin[k], f[k])))
-    return z
+    af = np.einsum("ij,kjd->kid", data.a, f)
+    return float(np.real(np.vdot(f, af) - 2.0 * np.vdot(data.lin, f)))
 
 
-def sca_precoder_solve(u: np.ndarray, w: np.ndarray, phi: np.ndarray,
-                       channels: ChannelSet, f_init: np.ndarray,
-                       config: SystemConfig, eps: float = SCA_EPS,
-                       n_max: int = SCA_MAX_ITER
+def sca_precoder_solve(u: np.ndarray, w: np.ndarray, eff: EffectiveChannels,
+                       f_init: np.ndarray, config: SystemConfig,
+                       eps: float = SCA_EPS, n_max: int = SCA_MAX_ITER
                        ) -> tuple[np.ndarray, list[PrecoderIterate]]:
     """Iterate the harvest linearization to a KKT point of the precoder block.
 
-    f_init must satisfy both the power budget and the true harvest
-    constraint; every iterate then stays feasible and z is non-increasing.
+    eff holds the effective channels at the current phases.  f_init must
+    satisfy both the power budget and the true harvest constraint; every
+    iterate then stays feasible and z is non-increasing.
     """
-    eff = effective_channels(channels, phi, config)
-    p_t = config.power_budget
-    qbar = config.eh_threshold
+    p_t, qbar = config.power_budget, config.eh_threshold
     q0 = harvested_power_quadratic(f_init, eff.g)
     if frob_sq(f_init) > p_t * (1.0 + 1e-6):
         raise ValueError("f_init exceeds the power budget")
@@ -228,13 +226,11 @@ def sca_precoder_solve(u: np.ndarray, w: np.ndarray, phi: np.ndarray,
     data = build_quadratic(u, w, eff, f, config, eh_threshold=qbar)
     trajectory = [PrecoderIterate(sca_objective(f, data), frob_sq(f), q0)]
     for _ in range(n_max):
-        f_new, _, _ = dual_bisection(data, p_t)
-        z_new = sca_objective(f_new, data)
-        q_new = harvested_power_quadratic(f_new, eff.g)
-        trajectory.append(PrecoderIterate(z_new, frob_sq(f_new), q_new))
-        z_prev = trajectory[-2].objective
-        f = f_new
+        f, _, _ = dual_bisection(data, p_t)
+        z = sca_objective(f, data)
+        trajectory.append(PrecoderIterate(
+            z, frob_sq(f), harvested_power_quadratic(f, eff.g)))
         data = data.with_anchor(f, qbar)
-        if abs(z_new - z_prev) < eps * max(abs(z_new), 1e-30):
+        if abs(z - trajectory[-2].objective) < eps * max(abs(z), 1e-30):
             break
     return f, trajectory

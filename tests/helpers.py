@@ -137,6 +137,48 @@ def waterfill_capacity(hbar, sigma2, p_total):
     return 0.0
 
 
+def precoder_terms_per_user(u, w, hbar, rate_weights):
+    """A = sum_k omega_k Hbar_k^H U_k W_k U_k^H Hbar_k and
+    L_k = omega_k Hbar_k^H U_k W_k, one user at a time."""
+    a = np.zeros((hbar.shape[2], hbar.shape[2]), dtype=complex)
+    lin = []
+    for k, om in enumerate(rate_weights):
+        hu = herm(hbar[k]) @ u[k]
+        a += om * hu @ w[k] @ herm(hu)
+        lin.append(om * hu @ w[k])
+    return a, np.array(lin)
+
+
+def sca_objective_per_user(f, a, lin):
+    """z(F) = sum_k tr(F_k^H A F_k) - 2 Re sum_k tr(L_k^H F_k)."""
+    return sum(float(np.real(np.trace(herm(f[k]) @ a @ f[k])))
+               - 2.0 * float(np.real(np.trace(herm(lin[k]) @ f[k])))
+               for k in range(len(f)))
+
+
+def mu_per_user(lam, data, cutoff=1e-12):
+    """Harvest multiplier from its per-user definition in A's eigenbasis.
+
+    c0 = 2 sum_k Re<Gt_k, inv Lt_k> and den = 2 sum_k Re<Gt_k, inv Gt_k>,
+    with inv the diagonal of (A + lambda I)^+ (eigen-directions below
+    cutoff times the largest shifted eigenvalue map to zero); mu is 0 when
+    c0 >= q_tilde and (q_tilde - c0) / den otherwise.
+    """
+    shifted = data.values + lam
+    floor = cutoff * max(float(shifted.max()), 1e-300)
+    inv = np.where(shifted > floor, 1.0 / np.maximum(shifted, floor), 0.0)
+    c0 = 0.0
+    den = 0.0
+    for k in range(len(data.lin)):
+        c0 += 2.0 * float(np.real(np.vdot(data.gfa_proj[k],
+                                          inv[:, None] * data.lin_proj[k])))
+        den += 2.0 * float(np.real(np.vdot(data.gfa_proj[k],
+                                           inv[:, None] * data.gfa_proj[k])))
+    if c0 >= data.q_tilde:
+        return 0.0
+    return (data.q_tilde - c0) / den
+
+
 def project_ball_halfspace(x, radius, a, c):
     """Euclidean projection onto {||y|| <= radius} cut by {Re<a, y> >= c}.
 

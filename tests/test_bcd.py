@@ -143,6 +143,28 @@ class TestBcdSolve:
             bcd_solve(ch, cfg_q, (f0, phi0))
         assert len(calls) == bcd_module.MAX_CONSECUTIVE_FAILURES
 
+    def test_one_channel_build_per_sweep(self, monkeypatch):
+        # the precoder block reads the sweep's channels instead of
+        # rebuilding them
+        rng = np.random.default_rng(502)
+        ch, cfg_q, f0, phi0 = feasible_instance(rng, bench_config(m=5))
+        real = bcd_module.effective_channels
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(None)
+            return real(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the precoder block rebuilt the channels")
+
+        monkeypatch.setattr("irs_swipt.precoder.effective_channels", forbidden,
+                            raising=False)
+        monkeypatch.setattr(bcd_module, "effective_channels", counted)
+        report = bcd_solve(ch, cfg_q, (f0, phi0))
+        assert report.iterations_used >= 2
+        assert len(builds) == report.iterations_used + 1
+
     def test_no_irs_reduction_matches_precoder_only(self):
         rng = np.random.default_rng(4)
         cfg = bench_config(qbar=0.0)
@@ -168,7 +190,8 @@ class TestBcdSolve:
         u, w, _ = refresh(f, phi, ch, cfg_q)
         base = report.wsr_bits
 
-        f_re, _ = sca_precoder_solve(u, w, phi, ch, f, cfg_q)
+        f_re, _ = sca_precoder_solve(u, w, effective_channels(ch, phi, cfg_q),
+                                     f, cfg_q)
         _, wsr_f = weighted_sum_rate(f_re, phi, ch, cfg_q)
         assert abs(wsr_f - base) < 1e-6 * max(1.0, base)
 

@@ -6,23 +6,17 @@ from irs_swipt import (build_quadratic, compute_mu, dual_bisection,
                        power_of_lambda, precoder_closed_form,
                        sca_precoder_solve)
 from irs_swipt.errors import InfeasibleDirectionError
-from irs_swipt.linalg import herm
-from irs_swipt.precoder import EigenCache, QuadraticData, sca_objective
+from irs_swipt.linalg import frob_sq, herm
+from irs_swipt.precoder import QuadraticData, sca_objective
 
-from helpers import (bench_config, crandn, pg_quadratic_solver,
-                     project_ball_halfspace, random_precoders, wmmse_state)
+from helpers import (bench_config, crandn, mu_per_user, pg_quadratic_solver,
+                     precoder_terms_per_user, project_ball_halfspace,
+                     random_precoders, sca_objective_per_user, wmmse_state)
 
 
 def make_data(a, lin, g, f_anchor, qbar):
-    """QuadraticData from raw matrices (same caching as build_quadratic)."""
-    vals, basis = np.linalg.eigh(0.5 * (a + herm(a)))
-    eig = EigenCache(basis=basis, values=np.maximum(vals, 0.0))
-    data = QuadraticData(a=a, lin=lin, g=g, f_anchor=f_anchor, q_tilde=0.0,
-                         eig=eig,
-                         lin_proj=np.einsum("ij,kjd->kid", herm(basis), lin),
-                         gfa=np.empty_like(f_anchor),
-                         gfa_proj=np.empty_like(f_anchor))
-    return data.with_anchor(f_anchor, qbar)
+    """QuadraticData from raw matrices."""
+    return QuadraticData.from_terms(a, lin, g, f_anchor, qbar)
 
 
 def random_data(rng, cfg=None, qbar=None, feasible_anchor=True):
@@ -83,9 +77,23 @@ class TestBuildQuadratic:
     def test_eigen_reconstruction(self):
         rng = np.random.default_rng(2)
         data, _, _ = random_data(rng)
-        rebuilt = (data.eig.basis * data.eig.values) @ herm(data.eig.basis)
+        rebuilt = (data.basis * data.values) @ herm(data.basis)
         assert (np.linalg.norm(rebuilt - data.a)
                 < 1e-9 * max(1.0, np.linalg.norm(data.a)))
+
+    def test_assembly_matches_per_user_sums(self):
+        rng = np.random.default_rng(20)
+        cfg = bench_config(rate_weights=(0.7, 1.9))
+        ch, phi, f, u, w = wmmse_state(rng, cfg)
+        eff = effective_channels(ch, phi, cfg)
+        data = build_quadratic(u, w, eff, f, cfg)
+        a, lin = precoder_terms_per_user(u, w, eff.hbar, cfg.rate_weights)
+        np.testing.assert_allclose(data.a, a, rtol=0, atol=1e-12 * np.abs(a).max())
+        np.testing.assert_allclose(data.lin, lin, rtol=0,
+                                   atol=1e-12 * np.abs(lin).max())
+        f_test = random_precoders(rng, cfg)
+        ref = sca_objective_per_user(f_test, a, lin)
+        assert sca_objective(f_test, data) == pytest.approx(ref, rel=1e-12)
 
     def test_q_tilde_definition(self):
         rng = np.random.default_rng(3)
@@ -203,6 +211,42 @@ class TestComputeMu:
             compute_mu(0.0, data)
 
 
+class TestScalarDual:
+    """The per-eigenvalue sums reproduce the explicit per-user forms."""
+
+    LAMS = np.concatenate(([0.0], np.logspace(-4, 6, 41)))
+
+    def binding_data(self, seed):
+        """Data whose threshold is slack at lambda = 0 but binds as lambda
+        grows, so a lambda grid sees both mu = 0 and mu > 0."""
+        data, _, _ = random_data(np.random.default_rng(seed))
+        c0 = 2.0 * sum(float(np.real(np.vdot(
+            data.gfa[k], np.linalg.pinv(data.a) @ data.lin[k])))
+            for k in range(len(data.lin)))
+        anchor_q = harvested_power_quadratic(data.f_anchor, data.g)
+        return data.with_anchor(data.f_anchor, 0.5 * c0 - anchor_q), c0
+
+    def test_power_and_mu_match_per_user_forms(self):
+        cases = 0
+        mus = []
+        for seed in range(5100, 5110):
+            data, c0 = self.binding_data(seed)
+            if c0 <= 0.0:
+                continue
+            cases += 1
+            for lam in self.LAMS:
+                mu = compute_mu(lam, data)
+                mus.append(mu)
+                ref = mu_per_user(lam, data)
+                assert abs(mu - ref) <= 1e-10 * abs(ref)
+                power = power_of_lambda(lam, data)
+                direct = frob_sq(precoder_closed_form(lam, mu, data))
+                assert abs(power - direct) <= 1e-10 * direct
+        assert cases >= 3
+        assert 0.0 in mus
+        assert max(mus) > 0.0
+
+
 class TestPowerOfLambda:
     def test_monotone_decreasing(self):
         for seed in range(10):
@@ -278,8 +322,8 @@ class TestScaSolve:
         rng = np.random.default_rng(17)
         cfg = bench_config(qbar=0.0)
         ch, phi, f, u, w = wmmse_state(rng, cfg)
-        f_sca, traj = sca_precoder_solve(u, w, phi, ch, f, cfg)
         eff = effective_channels(ch, phi, cfg)
+        f_sca, traj = sca_precoder_solve(u, w, eff, f, cfg)
         data = build_quadratic(u, w, eff, f_sca, cfg)
         f_direct, lam, mu = dual_bisection(data, cfg.power_budget)
         assert mu == 0.0
@@ -294,7 +338,7 @@ class TestScaSolve:
             eff = effective_channels(ch, phi, cfg)
             qbar = 0.6 * harvested_power_quadratic(f, eff.g)
             cfg_q = bench_config(qbar=qbar)
-            f_out, traj = sca_precoder_solve(u, w, phi, ch, f, cfg_q)
+            f_out, traj = sca_precoder_solve(u, w, eff, f, cfg_q)
             objectives = [it.objective for it in traj]
             for a, b in zip(objectives, objectives[1:]):
                 assert b <= a + 1e-9 * max(1.0, abs(a))
@@ -306,8 +350,9 @@ class TestScaSolve:
         rng = np.random.default_rng(18)
         cfg = bench_config(qbar=1e6)
         ch, phi, f, u, w = wmmse_state(rng, cfg)
+        eff = effective_channels(ch, phi, cfg)
         with pytest.raises(ValueError):
-            sca_precoder_solve(u, w, phi, ch, f, cfg)
+            sca_precoder_solve(u, w, eff, f, cfg)
 
     def test_kkt_residuals_at_convergence(self):
         rng = np.random.default_rng(19)
@@ -316,7 +361,7 @@ class TestScaSolve:
         eff = effective_channels(ch, phi, cfg)
         qbar = 0.6 * harvested_power_quadratic(f, eff.g)
         cfg_q = bench_config(qbar=qbar)
-        f_star, _ = sca_precoder_solve(u, w, phi, ch, f, cfg_q, eps=1e-10,
+        f_star, _ = sca_precoder_solve(u, w, eff, f, cfg_q, eps=1e-10,
                                        n_max=300)
         data = build_quadratic(u, w, eff, f_star, cfg_q)
         f_fix, lam, mu = dual_bisection(data, cfg_q.power_budget)
