@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("scenario", help="JSON scenario file")
         cmd.add_argument("--seed", type=int, default=None, help="override seed")
         cmd.add_argument("--out", default=None, help="output file (default stdout)")
-        cmd.add_argument("--format", choices=("csv", "json"), default="json")
     return parser
 
 
@@ -95,9 +94,9 @@ def _cmd_solve(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    print(f"feasible={report.feasible} iterations={report.iterations_used} "
-          f"wsr={report.wsr_bits:.4f} bit/s/Hz")
-    if not args.out:
+        print(f"feasible={report.feasible} iterations={report.iterations_used} "
+              f"wsr={report.wsr_bits:.4f} bit/s/Hz")
+    else:
         print(text)
     return 0
 

@@ -3,20 +3,20 @@
 The harvest maximization splits cleanly: for fixed phases, the optimal
 precoder is rank-one energy beamforming along the top eigenvector of the
 harvest matrix G, giving Q = lambda_max(G) * P_T; for fixed precoders, one
-SCA ascent step aligns the phases with the linearized harvest gradient.
-Both steps can only increase Q.  The alternation stops as soon as Q clears
-the threshold (the problem is then feasible and the point initializes the
-BCD solver), or when Q stalls.
+SCA ascent step aligns the phases with the harvest gradient, read from the
+effective channels the precoder step was built on, so no M x M form is
+assembled.  Both steps can only increase Q.  The alternation stops as soon
+as Q clears the threshold (the problem is then feasible and the point
+initializes the BCD solver), or when Q stalls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import frob_sq, max_eigpair
+from .linalg import frob_sq, max_eigpair, unit_phase
 from .metrics import EffectiveChannels, effective_channels, \
     harvested_power_quadratic
-from .phase import PhaseQcqpData, _linearize_harvest, _unit_phase, assemble_eh_qcqp
 from .scenario import ChannelSet, SystemConfig
 
 FEAS_MAX_ITER = 200
@@ -38,11 +38,25 @@ def max_eh_precoder(eff: EffectiveChannels,
     return f, chi * config.power_budget
 
 
-def max_eh_phase_step(data: PhaseQcqpData,
-                      phi_anchor: np.ndarray) -> np.ndarray:
-    """One SCA ascent step on the harvest objective: align with its
-    linearization g* + Upsilon anchor.  Zero entries map to phase 1."""
-    return _unit_phase(_linearize_harvest(data, phi_anchor)[1])
+def max_eh_phase_step(f: np.ndarray, eff: EffectiveChannels,
+                      channels: ChannelSet, config: SystemConfig) -> np.ndarray:
+    """One SCA ascent step on the harvest objective with F fixed.
+
+    eff must be built at the anchor phases.  The step aligns with the
+    Wirtinger gradient of Q(phi) = eta sum_l alpha_l ||Gbar_l F||^2,
+
+        w = dQ/dphi* = eta sum_l alpha_l diag(G_r,l^H Gbar_l F~ Z^H),
+
+    contracted from Gbar_l F~ Z^H = (Gbar_l [F_1 ... F_K]) (Z [F_1 ... F_K])^H
+    in O(K_E N_E K_I d M) with no M x M array.  Maximizing the linearization
+    of the convex Q keeps Q non-decreasing.  Zero gradient entries map to
+    phase 1.
+    """
+    stacked = np.concatenate(f, axis=1)                 # [F_1 ... F_K]
+    cross = (eff.gbar @ stacked) @ (channels.z @ stacked).conj().T
+    weights = config.eh_efficiency * np.asarray(config.eh_weights)
+    grad = np.einsum("l,lnm,lnm->m", weights, channels.g_r.conj(), cross)
+    return unit_phase(grad)
 
 
 def spread_streams(f: np.ndarray, channels: ChannelSet, config: SystemConfig,
@@ -66,11 +80,12 @@ def spread_streams(f: np.ndarray, channels: ChannelSet, config: SystemConfig,
     qbar = config.eh_threshold
 
     # orthonormal completion of the active column(s), per user
+    bases = [np.linalg.qr(np.column_stack(
+        [f_k, np.eye(config.n_bs_antennas, d, dtype=complex)]))[0] for f_k in f]
+
     def mixed(delta):
         out = np.array(f, copy=True)
-        for k in range(config.n_irs):
-            q_basis, _ = np.linalg.qr(np.column_stack(
-                [f[k], np.eye(config.n_bs_antennas, d, dtype=complex)]))
+        for k, q_basis in enumerate(bases):
             col_power = frob_sq(f[k]) / d
             for j in range(1, d):
                 if np.linalg.norm(out[k, :, j]) == 0.0:
@@ -97,23 +112,21 @@ def feasibility_check(channels: ChannelSet, config: SystemConfig,
     """
     qbar = config.eh_threshold
     phi = np.ones(config.n_elements, dtype=complex)
-    f, q = max_eh_precoder(effective_channels(channels, phi, config), config)
-    best = (f, phi, q)
-    if q >= qbar:
-        return True, f, phi, q
+    eff = effective_channels(channels, phi, config)
+    f, q = max_eh_precoder(eff, config)
+    if q >= qbar or config.n_elements == 0:
+        return q >= qbar, f, phi, q
 
+    best = (f, phi, q)
     for _ in range(n_max):
-        if config.n_elements:
-            data = assemble_eh_qcqp(f, channels, config)
-            phi = max_eh_phase_step(data, phi)
-        f, q_new = max_eh_precoder(effective_channels(channels, phi, config),
-                                   config)
+        phi = max_eh_phase_step(f, eff, channels, config)
+        eff = effective_channels(channels, phi, config)
+        f, q_new = max_eh_precoder(eff, config)
         if q_new > best[2]:
             best = (f, phi, q_new)
         if q_new >= qbar:
             return True, f, phi, q_new
-        if config.n_elements == 0 or abs(q_new - q) <= STALL_RTOL * max(q_new, 1e-300):
-            q = q_new
+        if abs(q_new - q) <= STALL_RTOL * max(q_new, 1e-300):
             break
         q = q_new
 

@@ -54,3 +54,8 @@ def max_eigpair(a: np.ndarray) -> tuple[float, np.ndarray]:
 def frob_sq(a: np.ndarray) -> float:
     """Squared Frobenius norm."""
     return float(np.real(np.vdot(a, a)))
+
+
+def unit_phase(z: np.ndarray) -> np.ndarray:
+    """exp(j arg(z)) entrywise, with arg(0) := 0 so zero entries map to 1."""
+    return np.exp(1j * np.angle(z))

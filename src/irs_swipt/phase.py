@@ -21,13 +21,13 @@ J is non-decreasing in p, so bisection applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InfeasibleSubproblemError
-from .linalg import herm, hermitianize
+from .linalg import herm, hermitianize, unit_phase
 from .scenario import ChannelSet, SystemConfig
 
 
@@ -66,10 +66,10 @@ class PhaseIterate(NamedTuple):
     harvest: float          # true weighted harvested power at phi
 
 
-def _harvest_forms(f: np.ndarray, channels: ChannelSet, config: SystemConfig
-                   ) -> tuple[PhaseQcqpData, np.ndarray, np.ndarray]:
-    """Harvest-only QCQP data (zero objective), plus the transmit covariance
-    F~ = sum_k F_k F_k^H and C = Z F~ Z^H that the rate terms also need."""
+def assemble_phase_qcqp(u: np.ndarray, w: np.ndarray, f: np.ndarray,
+                        channels: ChannelSet,
+                        config: SystemConfig) -> PhaseQcqpData:
+    """Reduce the rate objective and harvest constraint to forms in phi."""
     m = config.n_elements
     eta = config.eh_efficiency
     alphas = config.eh_weights
@@ -79,34 +79,16 @@ def _harvest_forms(f: np.ndarray, channels: ChannelSet, config: SystemConfig
     c = channels.z @ f_tilde @ herm(channels.z)             # (M, M)
 
     g_b = np.zeros((config.n_bs_antennas, config.n_bs_antennas), dtype=complex)
-    g_r = np.zeros((m, m), dtype=complex)
+    upsilon = np.zeros((m, m), dtype=complex)               # G_r, then G_r o C^T
     cross = np.zeros((config.n_bs_antennas, m), dtype=complex)
     for el in range(config.n_ers):
         g_b += alphas[el] * eta * herm(channels.g_b[el]) @ channels.g_b[el]
-        g_r += alphas[el] * eta * herm(channels.g_r[el]) @ channels.g_r[el]
+        upsilon += alphas[el] * eta * herm(channels.g_r[el]) @ channels.g_r[el]
         cross += alphas[el] * eta * herm(channels.g_b[el]) @ channels.g_r[el]
-    g_br = channels.z @ f_tilde @ cross
-    upsilon = hermitianize(hermitianize(g_r) * c.T)
+    upsilon = hermitianize(hermitianize(upsilon) * c.T)
+    g = np.diag(channels.z @ f_tilde @ cross).copy()
     direct = float(np.real(np.trace(g_b @ f_tilde)))
-    data = PhaseQcqpData(xi=np.zeros((m, m), dtype=complex), upsilon=upsilon,
-                         v=np.zeros(m, dtype=complex), g=np.diag(g_br).copy(),
-                         q_resid=config.eh_threshold - direct, lam_max=0.0,
-                         direct_harvest=direct, obj_const=0.0)
-    return data, f_tilde, c
 
-
-def assemble_eh_qcqp(f: np.ndarray, channels: ChannelSet,
-                     config: SystemConfig) -> PhaseQcqpData:
-    """Harvest-only variant (zero objective) used by the feasibility check."""
-    return _harvest_forms(f, channels, config)[0]
-
-
-def assemble_phase_qcqp(u: np.ndarray, w: np.ndarray, f: np.ndarray,
-                        channels: ChannelSet,
-                        config: SystemConfig) -> PhaseQcqpData:
-    """Reduce the rate objective and harvest constraint to forms in phi."""
-    data, f_tilde, c = _harvest_forms(f, channels, config)
-    m = config.n_elements
     b = np.zeros((m, m), dtype=complex)
     vmat = np.zeros((m, m), dtype=complex)
     obj_const = 0.0
@@ -123,8 +105,10 @@ def assemble_phase_qcqp(u: np.ndarray, w: np.ndarray, f: np.ndarray,
 
     xi = hermitianize(hermitianize(b) * c.T)
     lam_max = float(np.linalg.eigvalsh(xi)[-1]) if m else 0.0
-    return replace(data, xi=xi, v=np.diag(vmat).copy(), lam_max=lam_max,
-                   obj_const=obj_const)
+    return PhaseQcqpData(
+        xi=xi, upsilon=upsilon, v=np.diag(vmat).copy(), g=g,
+        q_resid=config.eh_threshold - direct, lam_max=lam_max,
+        direct_harvest=direct, obj_const=obj_const)
 
 
 def phase_objective(phi: np.ndarray, data: PhaseQcqpData) -> float:
@@ -159,15 +143,10 @@ def mm_prepare(data: PhaseQcqpData, phi_anchor: np.ndarray) -> MmState:
     return MmState(phi_anchor, q, *_linearize_harvest(data, phi_anchor))
 
 
-def _unit_phase(z: np.ndarray) -> np.ndarray:
-    """exp(j arg(z)) entrywise, with arg(0) := 0 so zero entries map to 1."""
-    return np.exp(1j * np.angle(z))
-
-
 def phase_closed_form(p: float, state: MmState,
                       data: PhaseQcqpData) -> np.ndarray:
     """Global optimum of the priced subproblem: align with q + p w."""
-    return _unit_phase(state.q + p * state.w)
+    return unit_phase(state.q + p * state.w)
 
 
 def eh_slack(p: float, state: MmState, data: PhaseQcqpData) -> float:
@@ -205,7 +184,7 @@ def price_bisection(state: MmState, data: PhaseQcqpData,
         # so no bracket exists; the feasible set is a vanishing neighborhood
         # of the aligned point, which also contains the anchor.  Keeping the
         # better of the two preserves the descent argument.
-        aligned = _unit_phase(state.w)
+        aligned = unit_phase(state.w)
         best = max((aligned, state.anchor),
                    key=lambda phi: float(np.real(np.vdot(phi, state.q))))
         return best, float(2 ** MAX_DOUBLINGS)

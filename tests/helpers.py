@@ -277,3 +277,21 @@ def harvest_direct(f, phi, channels, config):
             q_l += float(np.real(np.vdot(gbar @ f[k], gbar @ f[k])))
         total += config.eh_weights[el] * config.eh_efficiency * q_l
     return total
+
+
+def harvest_gradient_fd(f, phi, channels, config, step=1e-4):
+    """Wirtinger gradient dQ/dphi* = (dQ/dRe phi_m + j dQ/dIm phi_m) / 2 of
+    the harvest Q(phi) = eta sum_l alpha_l ||(G_b,l + G_r,l diag(phi) Z) F||^2,
+    by central differences of harvest_direct off the unit circle (exact for
+    a quadratic up to rounding)."""
+    grad = np.zeros(len(phi), dtype=complex)
+    for mth in range(len(phi)):
+        partial = []
+        for direction in (1.0, 1j):
+            e = np.zeros(len(phi), dtype=complex)
+            e[mth] = step * direction
+            partial.append((harvest_direct(f, phi + e, channels, config)
+                            - harvest_direct(f, phi - e, channels, config))
+                           / (2.0 * step))
+        grad[mth] = 0.5 * (partial[0] + 1j * partial[1])
+    return grad

@@ -1,7 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import irs_swipt
 from irs_swipt.cli import main
 
 
@@ -110,6 +115,19 @@ class TestScenarioCommands:
         assert all(b[1] >= a[1] - 1e-9 for a, b in zip(trajectory,
                                                        trajectory[1:]))
 
+    def test_solve_stdout_is_json(self, tmp_path, capsys):
+        scen = write(tmp_path, "scen.json", scenario_doc())
+        assert main(["solve", scen]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["wsr_bits"] > 0.0
+
+    @pytest.mark.parametrize("command", ["solve", "check-feasibility"])
+    def test_format_option_rejected(self, tmp_path, command):
+        scen = write(tmp_path, "scen.json", scenario_doc())
+        with pytest.raises(SystemExit) as exc:
+            main([command, scen, "--format", "csv"])
+        assert exc.value.code == 2
+
     def test_malformed_scenario_fails(self, tmp_path, capsys):
         scen = tmp_path / "broken.json"
         scen.write_text("{not json")
@@ -117,7 +135,11 @@ class TestScenarioCommands:
 
 
 def test_entry_point_runs():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(irs_swipt.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "irs_swipt.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "check-feasibility" in proc.stdout

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from irs_swipt import (effective_channels, feasibility_check,
-                       harvested_power_quadratic, max_eh_phase_step,
-                       max_eh_precoder)
-from irs_swipt.linalg import herm
+from irs_swipt import (assemble_phase_qcqp, effective_channels,
+                       feasibility_check, harvested_power_quadratic,
+                       max_eh_phase_step, max_eh_precoder)
+from irs_swipt.linalg import herm, unit_phase
 from irs_swipt.metrics import EffectiveChannels
-from irs_swipt.phase import assemble_eh_qcqp, true_harvest
 
-from helpers import bench_config, crandn, random_channels, random_precoders, \
-    unit_phases
+from helpers import bench_config, crandn, harvest_gradient_fd, \
+    random_channels, random_precoders, unit_phases, wmmse_state
 
 
 def eff_with_g(g, cfg):
@@ -53,17 +52,20 @@ class TestMaxEhPrecoder:
 
 
 class TestMaxEhPhaseStep:
-    def test_pure_linear_term_ignores_anchor(self):
+    def test_aligns_with_harvest_gradient(self):
         rng = np.random.default_rng(2)
-        cfg = bench_config()
-        ch = random_channels(rng, cfg)
-        f = random_precoders(rng, cfg)
-        data = assemble_eh_qcqp(f, ch, cfg)
-        data.upsilon[:] = 0.0
-        a1 = max_eh_phase_step(data, unit_phases(rng, cfg.n_elements))
-        a2 = max_eh_phase_step(data, unit_phases(rng, cfg.n_elements))
-        np.testing.assert_allclose(a1, a2)
-        np.testing.assert_allclose(a1, np.exp(1j * np.angle(data.g.conj())))
+        cfg = bench_config(eh_weights=(0.4, 1.9))
+        for _ in range(5):
+            ch, anchor, f, u, w = wmmse_state(rng, cfg)
+            step = max_eh_phase_step(f, effective_channels(ch, anchor, cfg),
+                                     ch, cfg)
+            oracle = harvest_gradient_fd(f, anchor, ch, cfg)
+            data = assemble_phase_qcqp(u, w, f, ch, cfg)
+            dense = data.g.conj() + data.upsilon @ anchor
+            np.testing.assert_allclose(oracle, dense, rtol=1e-8,
+                                       atol=1e-8 * np.max(np.abs(dense)))
+            np.testing.assert_allclose(step, unit_phase(oracle), atol=1e-7)
+            np.testing.assert_allclose(step, unit_phase(dense), atol=1e-12)
 
     def test_ascent_property(self):
         rng = np.random.default_rng(3)
@@ -71,21 +73,22 @@ class TestMaxEhPhaseStep:
         for _ in range(20):
             ch = random_channels(rng, cfg)
             f = random_precoders(rng, cfg)
-            data = assemble_eh_qcqp(f, ch, cfg)
             anchor = unit_phases(rng, cfg.n_elements)
-            phi = max_eh_phase_step(data, anchor)
-            assert (true_harvest(phi, data)
-                    >= true_harvest(anchor, data) - 1e-10)
+            eff = effective_channels(ch, anchor, cfg)
+            phi = max_eh_phase_step(f, eff, ch, cfg)
+            after = effective_channels(ch, phi, cfg)
+            assert (harvested_power_quadratic(f, after.g)
+                    >= harvested_power_quadratic(f, eff.g) - 1e-10)
 
     def test_zero_gradient_entry_maps_to_one(self):
         rng = np.random.default_rng(4)
         cfg = bench_config(m=3)
         ch = random_channels(rng, cfg)
+        ch.g_r[:, :, 1] = 0.0
         f = random_precoders(rng, cfg)
-        data = assemble_eh_qcqp(f, ch, cfg)
-        data.upsilon[:] = 0.0
-        data.g[1] = 0.0
-        phi = max_eh_phase_step(data, unit_phases(rng, 3))
+        anchor = unit_phases(rng, 3)
+        phi = max_eh_phase_step(f, effective_channels(ch, anchor, cfg),
+                                ch, cfg)
         assert phi[1] == 1.0 + 0j
 
 
@@ -120,13 +123,13 @@ class TestFeasibilityCheck:
             for _ in range(5):
                 ch = random_channels(rng, cfg)
                 phi = np.ones(cfg.n_elements, dtype=complex)
-                f, q = max_eh_precoder(effective_channels(ch, phi, cfg), cfg)
+                eff = effective_channels(ch, phi, cfg)
+                f, q = max_eh_precoder(eff, cfg)
                 values = [q]
                 for _ in range(15):
-                    data = assemble_eh_qcqp(f, ch, cfg)
-                    phi = max_eh_phase_step(data, phi)
-                    f, q = max_eh_precoder(
-                        effective_channels(ch, phi, cfg), cfg)
+                    phi = max_eh_phase_step(f, eff, ch, cfg)
+                    eff = effective_channels(ch, phi, cfg)
+                    f, q = max_eh_precoder(eff, cfg)
                     values.append(q)
                 for a, b in zip(values, values[1:]):
                     assert b >= a - 1e-10 * max(1.0, a)
