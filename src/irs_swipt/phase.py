@@ -9,7 +9,18 @@ subject to |phi_m| = 1 and the harvest constraint
     phi^H Upsilon phi + 2 Re{phi^H g*} >= q_resid,
 
 where q_resid is the harvest threshold minus the phase-independent direct
-term.  Each MM step majorizes the quadratic with lambda_max(Xi) I and
+term.  Both quadratics are Hadamard products of low-rank PSD matrices, and
+rank(A o B) <= rank A rank B, so they are carried as tall factors,
+
+    Xi = X X^H,     X = [p_i o c_j],  B = P P^H,    C^T = c c^H,
+    Upsilon = Y Y^H, Y = [r_i o c_j], G_r = R R^H,
+
+with P = [sqrt(omega_k) H_r,k^H U_k L_k] (W_k = L_k L_k^H), R = [sqrt(alpha_l
+eta) G_r,l^H] and c = conj(Z [F_1 ... F_K]).  X has (K_I d)^2 columns and Y
+has K_E N_E K_I d, so no M x M matrix is formed: v and g are row-wise sums,
+lambda_max(Xi) is the top eigenvalue of the small Gram X^H X, and every
+product with Xi or Upsilon is X (X^H phi) or Y (Y^H phi), O(M r) per MM
+step.  Each MM step majorizes the quadratic with lambda_max(Xi) I and
 linearizes the harvest quadratic at the anchor, leaving
 
     max 2 Re{phi^H q}   s.t.  |phi_m| = 1,  2 Re{phi^H w} >= q_hat,
@@ -27,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleSubproblemError
-from .linalg import herm, hermitianize, unit_phase
+from .linalg import frob_sq, herm, unit_phase
 from .scenario import ChannelSet, SystemConfig
 
 
@@ -39,16 +50,16 @@ MAX_DOUBLINGS = 60
 
 @dataclass
 class PhaseQcqpData:
-    """Quadratic forms of the phase subproblem (fixed while phi iterates)."""
+    """Factored forms of the phase subproblem (fixed while phi iterates)."""
 
-    xi: np.ndarray          # (M, M) Hermitian PSD objective quadratic
-    upsilon: np.ndarray     # (M, M) Hermitian PSD harvest quadratic
-    v: np.ndarray           # (M,) objective linear term (diagonal of V)
-    g: np.ndarray           # (M,) harvest linear term (diagonal of G_br)
-    q_resid: float          # harvest threshold minus the direct-path term
-    lam_max: float          # max eigenvalue of xi
-    direct_harvest: float   # phase-independent harvested power
-    obj_const: float        # phase-independent part of the rate objective
+    xi_factor: np.ndarray       # (M, r) X with Xi = X X^H
+    upsilon_factor: np.ndarray  # (M, r') Y with Upsilon = Y Y^H
+    v: np.ndarray               # (M,) objective linear term (diagonal of V)
+    g: np.ndarray               # (M,) harvest linear term (diagonal of G_br)
+    q_resid: float              # harvest threshold minus the direct-path term
+    lam_max: float              # max eigenvalue of Xi
+    direct_harvest: float       # phase-independent harvested power
+    obj_const: float            # phase-independent part of the rate objective
 
 
 @dataclass
@@ -59,6 +70,8 @@ class MmState:
     q: np.ndarray           # (lam_max I - Xi) anchor - v*
     q_hat: float            # linearized harvest right-hand side
     w: np.ndarray           # g* + Upsilon anchor, the linearized harvest gradient
+    objective: float        # f(anchor)
+    reflected: float        # reflect_harvest(anchor)
 
 
 class PhaseIterate(NamedTuple):
@@ -66,61 +79,69 @@ class PhaseIterate(NamedTuple):
     harvest: float          # true weighted harvested power at phi
 
 
+def _hadamard_factor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Columns a_i o b_j, so (A A^H) o (B B^H) is this times its ^H."""
+    m = a.shape[0]
+    return (a[:, :, None] * b[:, None, :]).reshape(m, a.shape[1] * b.shape[1])
+
+
 def assemble_phase_qcqp(u: np.ndarray, w: np.ndarray, f: np.ndarray,
                         channels: ChannelSet,
                         config: SystemConfig) -> PhaseQcqpData:
-    """Reduce the rate objective and harvest constraint to forms in phi."""
+    """Reduce the rate objective and harvest constraint to factored forms."""
     m = config.n_elements
-    eta = config.eh_efficiency
-    alphas = config.eh_weights
-    f_tilde = np.zeros((config.n_bs_antennas, config.n_bs_antennas), dtype=complex)
-    for k in range(config.n_irs):
-        f_tilde += f[k] @ herm(f[k])
-    c = channels.z @ f_tilde @ herm(channels.z)             # (M, M)
+    omegas = np.asarray(config.rate_weights)
+    alpha_eta = config.eh_efficiency * np.asarray(config.eh_weights)
+    f_cat = np.concatenate(f, axis=1)                   # [F_1 ... F_K]
+    f_tilde = f_cat @ herm(f_cat)
+    c_bar = np.conj(channels.z @ f_cat)                 # C^T = c_bar c_bar^H
 
-    g_b = np.zeros((config.n_bs_antennas, config.n_bs_antennas), dtype=complex)
-    upsilon = np.zeros((m, m), dtype=complex)               # G_r, then G_r o C^T
-    cross = np.zeros((config.n_bs_antennas, m), dtype=complex)
-    for el in range(config.n_ers):
-        g_b += alphas[el] * eta * herm(channels.g_b[el]) @ channels.g_b[el]
-        upsilon += alphas[el] * eta * herm(channels.g_r[el]) @ channels.g_r[el]
-        cross += alphas[el] * eta * herm(channels.g_b[el]) @ channels.g_r[el]
-    upsilon = hermitianize(hermitianize(upsilon) * c.T)
-    g = np.diag(channels.z @ f_tilde @ cross).copy()
-    direct = float(np.real(np.trace(g_b @ f_tilde)))
+    scale = np.sqrt(alpha_eta)[:, None, None]
+    g_b = (scale * channels.g_b).reshape(-1, config.n_bs_antennas)
+    g_r = (scale * channels.g_r).reshape(g_b.shape[0], m)   # G_r = g_r^H g_r
+    g = np.einsum("mn,nm->m", channels.z @ (f_tilde @ herm(g_b)), g_r)
+    direct = frob_sq(g_b @ f_cat)
 
-    b = np.zeros((m, m), dtype=complex)
-    vmat = np.zeros((m, m), dtype=complex)
+    chol = np.linalg.cholesky(w)                        # W_k = L_k L_k^H
+    p_cols, t_cols = [], []
     obj_const = 0.0
     for k in range(config.n_irs):
-        om = config.rate_weights[k]
-        h_r, h_b = channels.h_r[k], channels.h_b[k]
-        uwu = u[k] @ w[k] @ herm(u[k])                      # (N_I, N_I)
-        b += om * herm(h_r) @ uwu @ h_r
-        vmat += om * channels.z @ f_tilde @ herm(h_b) @ uwu @ h_r
-        vmat -= om * channels.z @ f[k] @ w[k] @ herm(u[k]) @ h_r
-        obj_const += om * float(np.real(np.trace(uwu @ h_b @ f_tilde @ herm(h_b))))
-        obj_const -= 2.0 * om * float(
-            np.real(np.trace(w[k] @ herm(u[k]) @ h_b @ f[k])))
+        om = omegas[k]
+        uh_b = herm(u[k]) @ channels.h_b[k]             # (d, N_B)
+        p_cols.append(np.sqrt(om) * herm(channels.h_r[k]) @ u[k] @ chol[k])
+        t_cols.append(om * (f_tilde @ herm(uh_b) - f[k]) @ w[k] @ herm(u[k]))
+        obj_const += om * frob_sq(herm(chol[k]) @ uh_b @ f_cat)
+        obj_const -= 2.0 * om * float(np.real(np.trace(w[k] @ uh_b @ f[k])))
+    h_r = channels.h_r.reshape(config.n_irs * config.n_ir_antennas, m)
+    v = np.einsum("mn,nm->m", channels.z @ np.concatenate(t_cols, axis=1), h_r)
 
-    xi = hermitianize(hermitianize(b) * c.T)
-    lam_max = float(np.linalg.eigvalsh(xi)[-1]) if m else 0.0
+    x = _hadamard_factor(np.concatenate(p_cols, axis=1), c_bar)
+    lam_max = float(np.linalg.eigvalsh(herm(x) @ x)[-1])
     return PhaseQcqpData(
-        xi=xi, upsilon=upsilon, v=np.diag(vmat).copy(), g=g,
-        q_resid=config.eh_threshold - direct, lam_max=lam_max,
+        xi_factor=x, upsilon_factor=_hadamard_factor(herm(g_r), c_bar),
+        v=v, g=g, q_resid=config.eh_threshold - direct, lam_max=lam_max,
         direct_harvest=direct, obj_const=obj_const)
+
+
+def _project(factor: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """factor^H phi, without conjugating the (M, r) factor."""
+    return (phi.conj() @ factor).conj()
+
+
+def _form_value(proj: np.ndarray, phi: np.ndarray, lin: np.ndarray) -> float:
+    """phi^H F F^H phi + 2 Re{phi^H lin*} from the projection F^H phi."""
+    return float(np.real(np.vdot(proj, proj))
+                 + 2.0 * np.real(np.vdot(phi, lin.conj())))
 
 
 def phase_objective(phi: np.ndarray, data: PhaseQcqpData) -> float:
     """f(phi) = phi^H Xi phi + 2 Re{phi^H v*}."""
-    return float(np.real(np.vdot(phi, data.xi @ phi))
-                 + 2.0 * np.real(np.vdot(phi, data.v.conj())))
+    return _form_value(_project(data.xi_factor, phi), phi, data.v)
 
 
 def reflect_harvest(phi: np.ndarray, data: PhaseQcqpData) -> float:
     """Phase-dependent harvest term phi^H Upsilon phi + 2 Re{phi^H g*}."""
-    return float(np.real(np.vdot(phi, data.upsilon @ phi))
-                 + 2.0 * np.real(np.vdot(phi, data.g.conj())))
+    return _form_value(_project(data.upsilon_factor, phi), phi, data.g)
 
 
 def true_harvest(phi: np.ndarray, data: PhaseQcqpData) -> float:
@@ -128,19 +149,20 @@ def true_harvest(phi: np.ndarray, data: PhaseQcqpData) -> float:
     return reflect_harvest(phi, data) + data.direct_harvest
 
 
-def _linearize_harvest(data: PhaseQcqpData,
-                       phi_anchor: np.ndarray) -> tuple[float, np.ndarray]:
-    """(q_hat, w) of the harvest bound 2 Re{phi^H w} >= q_hat at the anchor:
-    q_hat = q_resid + anchor^H Upsilon anchor, w = g* + Upsilon anchor."""
-    upsilon_anchor = data.upsilon @ phi_anchor
-    q_hat = data.q_resid + float(np.real(np.vdot(phi_anchor, upsilon_anchor)))
-    return q_hat, data.g.conj() + upsilon_anchor
-
-
 def mm_prepare(data: PhaseQcqpData, phi_anchor: np.ndarray) -> MmState:
-    """Majorize at the anchor: q = (lam_max I - Xi) anchor - v*; (q_hat, w)."""
-    q = data.lam_max * phi_anchor - data.xi @ phi_anchor - data.v.conj()
-    return MmState(phi_anchor, q, *_linearize_harvest(data, phi_anchor))
+    """Majorize at the anchor: q = (lam_max I - Xi) anchor - v*, and the
+    harvest bound 2 Re{phi^H w} >= q_hat with w = g* + Upsilon anchor and
+    q_hat = q_resid + anchor^H Upsilon anchor.  One projection of the anchor
+    onto each factor also gives f(anchor) and the reflected harvest there."""
+    x_proj = _project(data.xi_factor, phi_anchor)
+    y_proj = _project(data.upsilon_factor, phi_anchor)
+    return MmState(
+        anchor=phi_anchor,
+        q=data.lam_max * phi_anchor - data.xi_factor @ x_proj - data.v.conj(),
+        q_hat=data.q_resid + float(np.real(np.vdot(y_proj, y_proj))),
+        w=data.g.conj() + data.upsilon_factor @ y_proj,
+        objective=_form_value(x_proj, phi_anchor, data.v),
+        reflected=_form_value(y_proj, phi_anchor, data.g))
 
 
 def phase_closed_form(p: float, state: MmState,
@@ -149,10 +171,14 @@ def phase_closed_form(p: float, state: MmState,
     return unit_phase(state.q + p * state.w)
 
 
+def _slack(phi: np.ndarray, state: MmState) -> float:
+    """2 Re{phi^H w}, the left side of the linearized harvest bound."""
+    return 2.0 * float(np.real(np.vdot(phi, state.w)))
+
+
 def eh_slack(p: float, state: MmState, data: PhaseQcqpData) -> float:
     """J(p) = 2 Re{phi(p)^H (g* + Upsilon anchor)}, non-decreasing in p."""
-    phi = phase_closed_form(p, state, data)
-    return 2.0 * float(np.real(np.vdot(phi, state.w)))
+    return _slack(phase_closed_form(p, state, data), state)
 
 
 def price_bisection(state: MmState, data: PhaseQcqpData,
@@ -169,7 +195,7 @@ def price_bisection(state: MmState, data: PhaseQcqpData,
     """
     q_hat = state.q_hat
     phi0 = phase_closed_form(0.0, state, data)
-    if (eh_slack(0.0, state, data) >= q_hat
+    if (_slack(phi0, state) >= q_hat
             or reflect_harvest(phi0, data) >= data.q_resid):
         return phi0, 0.0
 
@@ -226,18 +252,18 @@ def phase_solve(u: np.ndarray, w: np.ndarray, f: np.ndarray,
         return phi, [PhaseIterate(0.0, data.direct_harvest)]
     if np.max(np.abs(np.abs(phi) - 1.0)) > 1e-9:
         raise ValueError("phi_init is not unit-modulus")
-    if true_harvest(phi, data) < config.eh_threshold * (1.0 - 1e-6):
+    state = mm_prepare(data, phi)
+    trajectory = [PhaseIterate(state.objective,
+                               state.reflected + data.direct_harvest)]
+    if trajectory[0].harvest < config.eh_threshold * (1.0 - 1e-6):
         raise ValueError("phi_init violates the harvest constraint")
 
-    trajectory = [PhaseIterate(phase_objective(phi, data),
-                               true_harvest(phi, data))]
     for _ in range(n_max):
+        phi, _ = price_bisection(state, data)
         state = mm_prepare(data, phi)
-        phi_new, _ = price_bisection(state, data)
-        f_new = phase_objective(phi_new, data)
-        trajectory.append(PhaseIterate(f_new, true_harvest(phi_new, data)))
-        f_prev = trajectory[-2].objective
-        phi = phi_new
+        trajectory.append(PhaseIterate(state.objective,
+                                       state.reflected + data.direct_harvest))
+        f_prev, f_new = trajectory[-2].objective, state.objective
         if abs(f_new - f_prev) <= eps * max(abs(f_new), 1e-30):
             break
     return phi, trajectory

@@ -10,7 +10,7 @@ import numpy as np
 
 from irs_swipt import (ChannelSet, SystemConfig, effective_channels,
                        mmse_refresh)
-from irs_swipt.linalg import herm
+from irs_swipt.linalg import herm, hermitianize
 
 
 def crandn(rng, *shape, scale=1.0):
@@ -295,3 +295,52 @@ def harvest_gradient_fd(f, phi, channels, config, step=1e-4):
                            / (2.0 * step))
         grad[mth] = 0.5 * (partial[0] + 1j * partial[1])
     return grad
+
+
+def dense_phase_forms(u, w, f, channels, config):
+    """The phase quadratics as dense M x M Hadamard products.
+
+    Returns (Xi, Upsilon, v, g, direct_harvest, obj_const) with
+    Xi = B o C^T, Upsilon = G_r o C^T, v = diag(V) and g = diag(Z F~ G_br),
+    built from their definitions.
+    """
+    m = config.n_elements
+    eta = config.eh_efficiency
+    alphas = config.eh_weights
+    f_tilde = np.zeros((config.n_bs_antennas, config.n_bs_antennas), dtype=complex)
+    for k in range(config.n_irs):
+        f_tilde += f[k] @ herm(f[k])
+    c = channels.z @ f_tilde @ herm(channels.z)             # (M, M)
+
+    g_b = np.zeros((config.n_bs_antennas, config.n_bs_antennas), dtype=complex)
+    upsilon = np.zeros((m, m), dtype=complex)               # G_r, then G_r o C^T
+    cross = np.zeros((config.n_bs_antennas, m), dtype=complex)
+    for el in range(config.n_ers):
+        g_b += alphas[el] * eta * herm(channels.g_b[el]) @ channels.g_b[el]
+        upsilon += alphas[el] * eta * herm(channels.g_r[el]) @ channels.g_r[el]
+        cross += alphas[el] * eta * herm(channels.g_b[el]) @ channels.g_r[el]
+    upsilon = hermitianize(hermitianize(upsilon) * c.T)
+    g = np.diag(channels.z @ f_tilde @ cross).copy()
+    direct = float(np.real(np.trace(g_b @ f_tilde)))
+
+    b = np.zeros((m, m), dtype=complex)
+    vmat = np.zeros((m, m), dtype=complex)
+    obj_const = 0.0
+    for k in range(config.n_irs):
+        om = config.rate_weights[k]
+        h_r, h_b = channels.h_r[k], channels.h_b[k]
+        uwu = u[k] @ w[k] @ herm(u[k])                      # (N_I, N_I)
+        b += om * herm(h_r) @ uwu @ h_r
+        vmat += om * channels.z @ f_tilde @ herm(h_b) @ uwu @ h_r
+        vmat -= om * channels.z @ f[k] @ w[k] @ herm(u[k]) @ h_r
+        obj_const += om * float(np.real(np.trace(uwu @ h_b @ f_tilde @ herm(h_b))))
+        obj_const -= 2.0 * om * float(
+            np.real(np.trace(w[k] @ herm(u[k]) @ h_b @ f[k])))
+
+    xi = hermitianize(hermitianize(b) * c.T)
+    return xi, upsilon, np.diag(vmat).copy(), g, direct, obj_const
+
+
+def dense_form(factor):
+    """The dense quadratic F F^H of a phase factor (Xi from X, Upsilon from Y)."""
+    return factor @ herm(factor)

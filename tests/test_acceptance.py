@@ -18,9 +18,9 @@ from irs_swipt import (ExperimentSpec, Geometry, SystemConfig, bcd_solve,
 from irs_swipt.feasibility import spread_streams
 from irs_swipt.precoder import sca_objective
 
-from helpers import (bench_config, pg_quadratic_solver, phase_grid_best,
-                     random_channels, unit_phases, waterfill_capacity,
-                     wmmse_state)
+from helpers import (bench_config, dense_form, pg_quadratic_solver,
+                     phase_grid_best, random_channels, unit_phases,
+                     waterfill_capacity, wmmse_state)
 from test_phase import make_phase_data
 
 
@@ -84,12 +84,13 @@ def test_criterion_03_price_global_optimality():
         data = make_phase_data(rng, 2)
         anchor = unit_phases(rng, 2)
         base = mm_prepare(data, anchor)
-        w = data.g.conj() + data.upsilon @ anchor
+        w = data.g.conj() + dense_form(data.upsilon_factor) @ anchor
         j0 = eh_slack(0.0, base, data)
         j_inf = 2.0 * float(np.sum(np.abs(w)))
         frac = 0.75 if seed % 2 == 0 else -0.5   # Case II / Case I mix
         q_hat = j0 + frac * (j_inf - j0)
-        anchor_quad = float(np.real(np.vdot(anchor, data.upsilon @ anchor)))
+        anchor_quad = float(np.real(np.vdot(
+            anchor, dense_form(data.upsilon_factor) @ anchor)))
         data.q_resid = q_hat - anchor_quad
         state = mm_prepare(data, anchor)
         phi, p = price_bisection(state, data)

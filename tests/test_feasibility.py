@@ -7,7 +7,7 @@ from irs_swipt import (assemble_phase_qcqp, effective_channels,
 from irs_swipt.linalg import herm, unit_phase
 from irs_swipt.metrics import EffectiveChannels
 
-from helpers import bench_config, crandn, harvest_gradient_fd, \
+from helpers import bench_config, crandn, dense_form, harvest_gradient_fd, \
     random_channels, random_precoders, unit_phases, wmmse_state
 
 
@@ -61,7 +61,7 @@ class TestMaxEhPhaseStep:
                                      ch, cfg)
             oracle = harvest_gradient_fd(f, anchor, ch, cfg)
             data = assemble_phase_qcqp(u, w, f, ch, cfg)
-            dense = data.g.conj() + data.upsilon @ anchor
+            dense = data.g.conj() + dense_form(data.upsilon_factor) @ anchor
             np.testing.assert_allclose(oracle, dense, rtol=1e-8,
                                        atol=1e-8 * np.max(np.abs(dense)))
             np.testing.assert_allclose(step, unit_phase(oracle), atol=1e-7)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,19 +12,17 @@ from irs_swipt.linalg import herm
 from irs_swipt.phase import (PhaseQcqpData, phase_objective, reflect_harvest,
                              true_harvest)
 
-from helpers import (bench_config, crandn, phase_grid_best, unit_phases,
-                     wmmse_state)
+from helpers import (bench_config, crandn, dense_form, dense_phase_forms,
+                     phase_grid_best, unit_phases, wmmse_state)
 
 
 def make_phase_data(rng, m, psd_scale=1.0, q_resid=0.0):
     """Hand-built PhaseQcqpData with random PSD quadratics."""
-    x = crandn(rng, m, m)
-    xi = psd_scale * (x @ herm(x)) / m
-    y = crandn(rng, m, m)
-    upsilon = psd_scale * (y @ herm(y)) / m
+    x = crandn(rng, m, m) * np.sqrt(psd_scale / m)
+    y = crandn(rng, m, m) * np.sqrt(psd_scale / m)
     return PhaseQcqpData(
-        xi=xi, upsilon=upsilon, v=crandn(rng, m), g=crandn(rng, m),
-        q_resid=q_resid, lam_max=float(np.linalg.eigvalsh(xi)[-1]),
+        xi_factor=x, upsilon_factor=y, v=crandn(rng, m), g=crandn(rng, m),
+        q_resid=q_resid, lam_max=float(np.linalg.eigvalsh(dense_form(x))[-1]),
         direct_harvest=0.0, obj_const=0.0)
 
 
@@ -47,6 +46,27 @@ class TestAssembly:
         lhs = np.trace(herm(big_phi) @ b @ big_phi @ c)
         rhs = np.vdot(phi, (b * c.T) @ phi)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("m", [1, 6, 37])
+    def test_factors_match_dense_forms(self, d, m):
+        rng = np.random.default_rng(20 + m + d)
+        cfg = bench_config(k_i=3, n_er=3, d=d, m=m,
+                           rate_weights=(0.4, 1.3, 2.2), eh_weights=(0.7, 1.9))
+        _, ch, _, f, u, w, data = full_state(rng, cfg)
+        xi, upsilon, v, g, direct, obj_const = dense_phase_forms(u, w, f, ch,
+                                                                 cfg)
+
+        def close(a, b):
+            return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+        assert close(dense_form(data.xi_factor), xi)
+        assert close(dense_form(data.upsilon_factor), upsilon)
+        assert close(data.v, v)
+        assert close(data.g, g)
+        assert close(data.direct_harvest, direct)
+        assert close(data.obj_const, obj_const)
+        assert close(data.lam_max, np.linalg.eigvalsh(xi)[-1])
 
     def test_objective_identity_against_matrix_form(self):
         rng = np.random.default_rng(1)
@@ -78,9 +98,25 @@ class TestAssembly:
     def test_quadratics_are_psd(self):
         rng = np.random.default_rng(3)
         _, _, _, _, _, _, data = full_state(rng)
-        assert np.linalg.eigvalsh(data.xi)[0] > -1e-9
-        assert np.linalg.eigvalsh(data.upsilon)[0] > -1e-9
-        assert data.lam_max >= np.max(np.abs(np.linalg.eigvalsh(data.xi))) - 1e-9
+        xi = dense_form(data.xi_factor)
+        assert np.linalg.eigvalsh(xi)[0] > -1e-9
+        assert np.linalg.eigvalsh(dense_form(data.upsilon_factor))[0] > -1e-9
+        assert data.lam_max >= np.max(np.abs(np.linalg.eigvalsh(xi))) - 1e-9
+
+
+def test_no_m_by_m_allocation():
+    # One M x M complex array at M = 1500 is 36 MB; the factored build,
+    # one MM anchor and one priced solve must stay under a quarter of it.
+    cfg = bench_config(m=1500)
+    ch, phi, f, u, w = wmmse_state(np.random.default_rng(19), cfg)
+    tracemalloc.start()
+    try:
+        data = assemble_phase_qcqp(u, w, f, ch, cfg)
+        price_bisection(mm_prepare(data, phi), data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1500 * 1500 * 16 / 4
 
 
 class TestMmPrepare:
@@ -88,8 +124,10 @@ class TestMmPrepare:
         rng = np.random.default_rng(4)
         m = 5
         data = make_phase_data(rng, m)
-        iso = PhaseQcqpData(xi=data.lam_max * np.eye(m, dtype=complex),
-                            upsilon=data.upsilon, v=data.v, g=data.g,
+        iso = PhaseQcqpData(xi_factor=np.sqrt(data.lam_max)
+                            * np.eye(m, dtype=complex),
+                            upsilon_factor=data.upsilon_factor, v=data.v,
+                            g=data.g,
                             q_resid=0.0, lam_max=data.lam_max,
                             direct_harvest=0.0, obj_const=0.0)
         state = mm_prepare(iso, unit_phases(rng, m))
@@ -100,15 +138,16 @@ class TestMmPrepare:
         data = make_phase_data(rng, 6)
         anchor = unit_phases(rng, 6)
         lam = data.lam_max
+        xi = dense_form(data.xi_factor)
 
         def majorizer(phi):
             # lam |phi|^2 - 2 Re{phi^H (lam I - Xi) anchor} + anchor^H (lam I - Xi) anchor
-            shift = lam * np.eye(6, dtype=complex) - data.xi
+            shift = lam * np.eye(6, dtype=complex) - xi
             return (lam * np.real(np.vdot(phi, phi))
                     - 2.0 * np.real(np.vdot(phi, shift @ anchor))
                     + np.real(np.vdot(anchor, shift @ anchor)))
 
-        quad_at = lambda phi: float(np.real(np.vdot(phi, data.xi @ phi)))
+        quad_at = lambda phi: float(np.real(np.vdot(phi, xi @ phi)))
         assert majorizer(anchor) == pytest.approx(quad_at(anchor), abs=1e-10)
         for _ in range(100):
             phi = unit_phases(rng, 6)
@@ -119,8 +158,8 @@ class TestMmPrepare:
         cfg, ch, phi, f, u, w, data = full_state(rng)
         anchor = unit_phases(rng, cfg.n_elements)
         state = mm_prepare(data, anchor)
-        lin_at_anchor = 2.0 * np.real(
-            np.vdot(anchor, data.g.conj() + data.upsilon @ anchor))
+        lin_at_anchor = 2.0 * np.real(np.vdot(
+            anchor, data.g.conj() + dense_form(data.upsilon_factor) @ anchor))
         # constraint slack at the anchor equals the true harvest slack
         assert (lin_at_anchor - state.q_hat) == pytest.approx(
             reflect_harvest(anchor, data) - data.q_resid, abs=1e-10)
@@ -129,7 +168,8 @@ class TestMmPrepare:
 class TestClosedForm:
     def test_extracts_phases(self):
         data = make_phase_data(np.random.default_rng(7), 2)
-        zero = PhaseQcqpData(xi=data.xi, upsilon=np.zeros((2, 2), complex),
+        zero = PhaseQcqpData(xi_factor=data.xi_factor,
+                             upsilon_factor=np.zeros((2, 0), complex),
                              v=data.v, g=np.zeros(2, complex), q_resid=0.0,
                              lam_max=data.lam_max, direct_harvest=0.0,
                              obj_const=0.0)
@@ -140,7 +180,8 @@ class TestClosedForm:
 
     def test_zero_entry_maps_to_one(self):
         data = make_phase_data(np.random.default_rng(8), 3)
-        zero = PhaseQcqpData(xi=data.xi, upsilon=np.zeros((3, 3), complex),
+        zero = PhaseQcqpData(xi_factor=data.xi_factor,
+                             upsilon_factor=np.zeros((3, 0), complex),
                              v=data.v, g=np.zeros(3, complex), q_resid=0.0,
                              lam_max=data.lam_max, direct_harvest=0.0,
                              obj_const=0.0)
@@ -156,7 +197,7 @@ class TestClosedForm:
         anchor = unit_phases(rng, m)
         state = mm_prepare(data, anchor)
         p = 0.7
-        w = data.g.conj() + data.upsilon @ anchor
+        w = data.g.conj() + dense_form(data.upsilon_factor) @ anchor
         target = state.q + p * w
         phi_star = phase_closed_form(p, state, data)
         best = 2.0 * np.real(np.vdot(phi_star, target))
@@ -180,7 +221,8 @@ class TestEhSlack:
         rng = np.random.default_rng(10)
         m = 4
         base = make_phase_data(rng, m)
-        data = PhaseQcqpData(xi=base.xi, upsilon=np.zeros((m, m), complex),
+        data = PhaseQcqpData(xi_factor=base.xi_factor,
+                             upsilon_factor=np.zeros((m, 0), complex),
                              v=base.v, g=np.zeros(m, complex), q_resid=0.0,
                              lam_max=base.lam_max, direct_harvest=0.0,
                              obj_const=0.0)
@@ -192,7 +234,7 @@ class TestEhSlack:
         rng = np.random.default_rng(11)
         data = make_phase_data(rng, 6)
         state = mm_prepare(data, unit_phases(rng, 6))
-        w = data.g.conj() + data.upsilon @ state.anchor
+        w = data.g.conj() + dense_form(data.upsilon_factor) @ state.anchor
         limit = 2.0 * float(np.sum(np.abs(w)))
         assert eh_slack(1e12, state, data) == pytest.approx(limit, rel=1e-9)
 
@@ -217,12 +259,13 @@ class TestPriceBisection:
             data = make_phase_data(rng, 5)
             anchor = unit_phases(rng, 5)
             base = mm_prepare(data, anchor)
-            w = data.g.conj() + data.upsilon @ anchor
+            w = data.g.conj() + dense_form(data.upsilon_factor) @ anchor
             j0 = eh_slack(0.0, base, data)
             if j0 >= -1e-9:
                 continue
             q_hat = 0.5 * j0    # negative, above J(0)
-            anchor_quad = float(np.real(np.vdot(anchor, data.upsilon @ anchor)))
+            anchor_quad = float(np.real(np.vdot(
+                anchor, dense_form(data.upsilon_factor) @ anchor)))
             data.q_resid = q_hat - anchor_quad
             state = mm_prepare(data, anchor)
             phi, p = price_bisection(state, data)
@@ -244,11 +287,12 @@ class TestPriceBisection:
             # q_resid consistent so the true constraint matches the bound
             j0 = eh_slack(0.0, state, data)
             j_inf = 2.0 * float(np.sum(np.abs(
-                data.g.conj() + data.upsilon @ anchor)))
+                data.g.conj() + dense_form(data.upsilon_factor) @ anchor)))
             if j_inf <= j0 + 1e-9:
                 continue
             q_hat = 0.5 * (j0 + j_inf)
-            anchor_quad = float(np.real(np.vdot(anchor, data.upsilon @ anchor)))
+            anchor_quad = float(np.real(np.vdot(
+                anchor, dense_form(data.upsilon_factor) @ anchor)))
             data.q_resid = q_hat - anchor_quad
             state = mm_prepare(data, anchor)
             assert state.q_hat == pytest.approx(q_hat, rel=1e-12)
@@ -258,15 +302,18 @@ class TestPriceBisection:
                 j_at = eh_slack(p, state, data)
                 assert abs(j_at - q_hat) <= 1e-6 * max(1.0, abs(q_hat))
                 assert 2.0 * np.real(np.vdot(
-                    phi, data.g.conj() + data.upsilon @ anchor)) >= q_hat * (1 - 1e-9)
+                    phi, data.g.conj()
+                    + dense_form(data.upsilon_factor) @ anchor)) >= q_hat * (1 - 1e-9)
         assert hits >= 10
 
     def test_unreachable_bound_raises(self):
         rng = np.random.default_rng(14)
         data = make_phase_data(rng, 4)
         anchor = unit_phases(rng, 4)
-        j_inf = 2.0 * float(np.sum(np.abs(data.g.conj() + data.upsilon @ anchor)))
-        anchor_quad = float(np.real(np.vdot(anchor, data.upsilon @ anchor)))
+        j_inf = 2.0 * float(np.sum(np.abs(
+            data.g.conj() + dense_form(data.upsilon_factor) @ anchor)))
+        anchor_quad = float(np.real(np.vdot(
+            anchor, dense_form(data.upsilon_factor) @ anchor)))
         data.q_resid = 2.0 * j_inf + 1.0 - anchor_quad
         bad = mm_prepare(data, anchor)
         assert bad.q_hat > j_inf
@@ -280,7 +327,7 @@ class TestPriceBisection:
             data = make_phase_data(rng, 2)
             anchor = unit_phases(rng, 2)
             state = mm_prepare(data, anchor)
-            w = data.g.conj() + data.upsilon @ anchor
+            w = data.g.conj() + dense_form(data.upsilon_factor) @ anchor
             j0 = eh_slack(0.0, state, data)
             j_inf = 2.0 * float(np.sum(np.abs(w)))
             q_hat = j0 + 0.7 * (j_inf - j0)
@@ -350,8 +397,8 @@ class TestPhaseSolve:
         # Stationarity: Xi phi + v* - nu (g* + Upsilon phi) must lie along
         # j*phi entrywise after the unit-modulus multipliers absorb the
         # radial component; solve for nu >= 0 in least squares.
-        grad = data.xi @ phi_star + data.v.conj()
-        cons = data.g.conj() + data.upsilon @ phi_star
+        grad = dense_form(data.xi_factor) @ phi_star + data.v.conj()
+        cons = data.g.conj() + dense_form(data.upsilon_factor) @ phi_star
         slack = reflect_harvest(phi_star, data) - (qbar - data.direct_harvest)
         c0 = np.imag(phi_star.conj() * grad)
         c1 = np.imag(phi_star.conj() * cons)
