@@ -4,8 +4,8 @@ The library splits into:
 
     scenario     configs, geometry, path loss, Rician/Rayleigh channels
     metrics      effective channels, rates, MSE, harvested power, surrogate
-    precoder     SCA + dual bisection for the transmit precoders
-    phase        MM + price bisection for the unit-modulus phase shifts
+    precoder     SCA + a bracketed dual search for the transmit precoders
+    phase        MM + a bracketed price search for the unit-modulus phases
     bcd          the outer block-coordinate-descent loop
     feasibility  harvest maximization and the feasible initializer
     harness      Monte-Carlo sweeps, baselines, CSV/JSON output

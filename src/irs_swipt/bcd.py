@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .linalg import frob_sq, herm, hermitian_solve, hermitianize, logdet_pd
+from .linalg import (frob_sq, herm, hermitian_solve, hermitianize,
+                     inverse_logdet_pd)
 from .metrics import (LN2, EffectiveChannels, effective_channels,
                       harvested_power_quadratic)
 from .phase import phase_solve
@@ -97,8 +98,8 @@ def mmse_refresh(f: np.ndarray, eff: EffectiveChannels,
         u_k = hermitian_solve(cov, hf_k)
         u[k] = u_k
         e_star = hermitianize(eye_d - herm(hf_k) @ u_k)
-        w[k] = hermitianize(hermitian_solve(e_star, eye_d))
-        wsr_nats -= config.rate_weights[k] * logdet_pd(e_star)
+        w[k], logdet_e = inverse_logdet_pd(e_star)
+        wsr_nats -= config.rate_weights[k] * logdet_e
     return u, w, wsr_nats
 
 
@@ -152,9 +153,7 @@ def bcd_solve(channels: ChannelSet, config: SystemConfig,
     for n in range(1, n_max + 1):
         failed = False
         try:
-            f_new, prec_traj = sca_precoder_solve(u, w, eff, f, config,
-                                                  **inner_kw)
-            f = f_new
+            f, prec_traj = sca_precoder_solve(u, w, eff, f, config, **inner_kw)
             report.precoder_inner_iters.append(len(prec_traj) - 1)
         except SolverError as exc:
             log.warning("precoder block failed at sweep %d: %s", n, exc)
@@ -162,9 +161,8 @@ def bcd_solve(channels: ChannelSet, config: SystemConfig,
 
         if optimize_phase and config.n_elements:
             try:
-                phi_new, phase_traj = phase_solve(u, w, f, channels, phi,
-                                                  config, **inner_kw)
-                phi = phi_new
+                phi, phase_traj = phase_solve(u, w, f, channels, phi, config,
+                                              **inner_kw)
                 report.phase_inner_iters.append(len(phase_traj) - 1)
             except SolverError as exc:
                 log.warning("phase block failed at sweep %d: %s", n, exc)

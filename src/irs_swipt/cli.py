@@ -18,7 +18,7 @@ import sys
 
 from .feasibility import feasibility_check
 from .harness import (emit_results, load_experiment_spec, run_experiment,
-                      summarize)
+                      solve_with_init, summarize)
 from .scenario import generate_scenario, load_scenario
 
 
@@ -66,48 +66,42 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_check_feasibility(args) -> int:
-    config, geometry, seed = load_scenario(args.scenario)
-    if args.seed is not None:
-        seed = args.seed
-    channels = generate_scenario(config, geometry, seed)
+def _evaluate(command: str, channels, config) -> tuple[dict, str]:
+    """A scenario command's JSON fields and its one-line summary."""
+    if command == "solve":
+        report = solve_with_init(channels, config)
+        return report.to_dict(), (
+            f"feasible={report.feasible} iterations={report.iterations_used} "
+            f"wsr={report.wsr_bits:.4f} bit/s/Hz")
     feasible, _, _, q = feasibility_check(channels, config)
-    doc = {"seed": seed, "feasible": bool(feasible), "q_achieved_watts": q,
-           "eh_threshold_watts": config.eh_threshold}
-    text = json.dumps(doc, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
-    return 0
+    qbar = config.eh_threshold
+    return ({"feasible": bool(feasible), "q_achieved_watts": q,
+             "eh_threshold_watts": qbar},
+            f"feasible={bool(feasible)} q={q:.4e} W threshold={qbar:.4e} W")
 
 
-def _cmd_solve(args) -> int:
-    from .harness import solve_with_init
+def _cmd_scenario(args) -> int:
+    """check-feasibility and solve: evaluate one scenario; with --out write
+    its JSON there and print a one-line summary, otherwise print the JSON."""
     config, geometry, seed = load_scenario(args.scenario)
     if args.seed is not None:
         seed = args.seed
     channels = generate_scenario(config, geometry, seed)
-    report = solve_with_init(channels, config)
-    doc = {"seed": seed, **report.to_dict()}
-    text = json.dumps(doc, indent=2)
+    fields, summary = _evaluate(args.command, channels, config)
+    text = json.dumps({"seed": seed, **fields}, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        print(f"feasible={report.feasible} iterations={report.iterations_used} "
-              f"wsr={report.wsr_bits:.4f} bit/s/Hz")
-    else:
-        print(text)
+    print(summary if args.out else text)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {"run": _cmd_run, "check-feasibility": _cmd_check_feasibility,
-                "solve": _cmd_solve}
+    handler = _cmd_run if args.command == "run" else _cmd_scenario
     try:
-        return handlers[args.command](args)
+        return handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

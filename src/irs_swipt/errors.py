@@ -15,7 +15,8 @@ class InfeasibleDirectionError(SolverError):
 
 
 class BracketError(SolverError):
-    """A bisection bracket could not be established within the doubling budget."""
+    """The search for a multiplier (the precoder's power multiplier or the
+    phase block's harvest price) found no bracket within MAX_DOUBLINGS."""
 
 
 class ConditioningError(SolverError):

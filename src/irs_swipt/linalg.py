@@ -6,9 +6,11 @@ explicit inverses are avoided except for the tiny d-by-d weight matrices.
 
 import numpy as np
 
-from .errors import ConditioningError
+from .errors import BracketError, ConditioningError
 
 MAX_CONDITION = 1e12
+MAX_DOUBLINGS = 60
+ROOT_EPS = 1e-8
 
 
 def herm(a: np.ndarray) -> np.ndarray:
@@ -21,12 +23,10 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + herm(a))
 
 
-def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for Hermitian positive-definite a.
-
-    Raises ConditioningError if the condition number exceeds MAX_CONDITION;
-    noise power > 0 keeps every system solved here well away from that.
-    """
+def _checked_cholesky(a: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the Hermitian positive-definite a; raises
+    ConditioningError past MAX_CONDITION (noise power > 0 keeps every
+    system factored here well away from that)."""
     a = hermitianize(a)
     w = np.linalg.eigvalsh(a)
     if w[0] <= 0.0 or w[-1] / w[0] > MAX_CONDITION:
@@ -34,9 +34,21 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"Hermitian system condition {w[-1] / max(w[0], 1e-300):.3e} exceeds "
             f"{MAX_CONDITION:.0e}"
         )
-    c = np.linalg.cholesky(a)
-    y = np.linalg.solve(c, b)
-    return np.linalg.solve(herm(c), y)
+    return np.linalg.cholesky(a)
+
+
+def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a @ x = b for Hermitian positive-definite a (condition-checked)."""
+    c = _checked_cholesky(a)
+    return np.linalg.solve(herm(c), np.linalg.solve(c, b))
+
+
+def inverse_logdet_pd(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Hermitianized a^-1 and log det a from one condition-checked Cholesky
+    factor of the Hermitian positive-definite a."""
+    c = _checked_cholesky(a)
+    inv = np.linalg.solve(herm(c), np.linalg.solve(c, np.eye(len(c), dtype=c.dtype)))
+    return hermitianize(inv), float(2.0 * np.sum(np.log(np.real(np.diag(c)))))
 
 
 def logdet_pd(a: np.ndarray) -> float:
@@ -59,3 +71,36 @@ def frob_sq(a: np.ndarray) -> float:
 def unit_phase(z: np.ndarray) -> np.ndarray:
     """exp(j arg(z)) entrywise, with arg(0) := 0 so zero entries map to 1."""
     return np.exp(1j * np.angle(z))
+
+
+def _bracketed_root(excess, at_zero: float, slack_tol: float = np.inf) -> float:
+    """Smallest x >= 0 with excess(x) <= 0, for a non-increasing excess with
+    excess(0) = at_zero > 0.  Doubles from 1 to a bracket, then takes
+    Illinois steps (regula falsi halving the weight of an end kept twice in
+    a row), or the midpoint when a step leaves the open bracket, until the
+    bracket is within ROOT_EPS of its upper end and the excess there within
+    slack_tol of zero, or float resolution runs out.  Returns that feasible
+    upper end."""
+    lo, s_lo, hi, e_hi = 0.0, at_zero, 1.0, excess(1.0)
+    while e_hi > 0.0:
+        if hi >= 2.0 ** MAX_DOUBLINGS:
+            raise BracketError(f"no root of the excess below {hi:.3e}")
+        lo, s_lo, hi = hi, e_hi, 2.0 * hi
+        e_hi = excess(hi)
+    s_hi, kept = e_hi, 0    # secant weights; kept: -1 lo, +1 hi, last step
+    while hi - lo > ROOT_EPS * max(1.0, hi) or -e_hi > slack_tol:
+        x = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:     # float resolution exhausted
+                break
+        e_x = excess(x)
+        if e_x <= 0.0:
+            hi, e_hi, s_hi = x, e_x, e_x
+            s_lo *= 0.5 if kept < 0 else 1.0
+            kept = -1
+        else:
+            lo, s_lo = x, e_x
+            s_hi *= 0.5 if kept > 0 else 1.0
+            kept = 1
+    return hi

@@ -27,7 +27,7 @@ linearizes the harvest quadratic at the anchor, leaving
 
 whose global optimum is phi_m = exp(j arg(q_m + p w_m)) for a price p >= 0
 chosen so the constraint slackness J(p) = 2 Re{phi(p)^H w} hits q_hat;
-J is non-decreasing in p, so bisection applies.
+J is non-decreasing in p, so the shared bracketed root search applies.
 """
 
 from __future__ import annotations
@@ -38,14 +38,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleSubproblemError
-from .linalg import frob_sq, herm, unit_phase
+from .linalg import MAX_DOUBLINGS, _bracketed_root, frob_sq, herm, unit_phase
 from .scenario import ChannelSet, SystemConfig
 
 
-PRICE_EPS = 1e-8
 MM_EPS = 1e-6
 MM_MAX_ITER = 200
-MAX_DOUBLINGS = 60
 
 
 @dataclass
@@ -181,22 +179,22 @@ def eh_slack(p: float, state: MmState, data: PhaseQcqpData) -> float:
     return _slack(phase_closed_form(p, state, data), state)
 
 
-def price_bisection(state: MmState, data: PhaseQcqpData,
-                    eps: float = PRICE_EPS) -> tuple[np.ndarray, float]:
+def price_bisection(state: MmState,
+                    data: PhaseQcqpData) -> tuple[np.ndarray, float]:
     """Find the price making the linearized harvest constraint tight.
 
     Case I: the unpriced solution is kept at p = 0 when it satisfies the
     linearized constraint, or the true harvest constraint directly (the
     linearization is conservative, so this keeps the iterate feasible while
     never giving up objective; it is the usual exit when the direct path
-    already covers the threshold and q_hat <= 0).  Case II: bisect on p
-    using the monotonicity of J(p); the returned phi sits on the feasible
-    side of the bracket.
+    already covers the threshold and q_hat <= 0).  Case II: a bracketed
+    search on p using the monotonicity of J(p); the returned phi sits on
+    the feasible side of the bracket.
     """
     q_hat = state.q_hat
     phi0 = phase_closed_form(0.0, state, data)
-    if (_slack(phi0, state) >= q_hat
-            or reflect_harvest(phi0, data) >= data.q_resid):
+    j0 = _slack(phi0, state)
+    if j0 >= q_hat or reflect_harvest(phi0, data) >= data.q_resid:
         return phi0, 0.0
 
     j_limit = 2.0 * float(np.sum(np.abs(state.w)))
@@ -215,23 +213,9 @@ def price_bisection(state: MmState, data: PhaseQcqpData,
                    key=lambda phi: float(np.real(np.vdot(phi, state.q))))
         return best, float(2 ** MAX_DOUBLINGS)
 
-    p_u = 1.0
-    doublings = 0
-    while eh_slack(p_u, state, data) < q_hat:
-        p_u *= 2.0
-        doublings += 1
-        if doublings > MAX_DOUBLINGS:
-            raise InfeasibleSubproblemError(
-                "price doubling exhausted without reaching the harvest bound")
-    p_l = p_u / 2.0 if doublings > 0 else 0.0
-
-    while p_u - p_l > eps * max(1.0, p_u):
-        mid = 0.5 * (p_l + p_u)
-        if eh_slack(mid, state, data) >= q_hat:
-            p_u = mid
-        else:
-            p_l = mid
-    return phase_closed_form(p_u, state, data), p_u
+    p = _bracketed_root(lambda x: q_hat - eh_slack(x, state, data),
+                        q_hat - j0)
+    return phase_closed_form(p, state, data), p
 
 
 def phase_solve(u: np.ndarray, w: np.ndarray, f: np.ndarray,

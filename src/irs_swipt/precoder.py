@@ -14,13 +14,13 @@ F^(n), which turns each iteration into a convex problem whose solution is
 
     F_k(lambda, mu) = (A + lambda I)^+ (L_k + mu G F_k^(n)),
 
-with mu set by the linearized-harvest slackness and lambda found by
-bisection on the transmit power, which is non-increasing in lambda.  With
-inv = diag (A + lambda I)^+ in the eigenbasis of A and the per-eigenvalue
-sums s_LL = sum |L~|^2, s_LG = sum Re(G~F* L~), s_GG = sum |G~F|^2 of the
-projected terms (over users and streams, once per anchor), each probe is
-O(N_B): mu = max(0, q_tilde - 2 inv.s_LG) / (2 inv.s_GG) and
-P = inv^2.(s_LL + 2 mu s_LG + mu^2 s_GG).
+with mu set by the linearized-harvest slackness and lambda found by the
+shared bracketed root search on the transmit power, non-increasing in
+lambda.  With inv = diag (A + lambda I)^+ in the eigenbasis of A and the
+per-eigenvalue sums s_LL = sum |L~|^2, s_LG = sum Re(G~F* L~), s_GG =
+sum |G~F|^2 of the projected terms (over users and streams, once per
+anchor), each probe is O(N_B): mu = max(0, q_tilde - 2 inv.s_LG) /
+(2 inv.s_GG) and P = inv^2.(s_LL + 2 mu s_LG + mu^2 s_GG).
 """
 
 from __future__ import annotations
@@ -31,17 +31,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketError, InfeasibleDirectionError
-from .linalg import frob_sq, herm, hermitianize
+from .errors import InfeasibleDirectionError
+from .linalg import ROOT_EPS, _bracketed_root, frob_sq, herm, hermitianize
 from .metrics import EffectiveChannels, harvested_power_quadratic
 from .scenario import SystemConfig
 
 log = logging.getLogger(__name__)
 
-BISECTION_EPS = 1e-8
 SCA_EPS = 1e-6
 SCA_MAX_ITER = 100
-MAX_DOUBLINGS = 60
 EIG_CUTOFF = 1e-12  # relative threshold below which eigen-directions map to zero
 
 
@@ -153,44 +151,21 @@ def power_of_lambda(lam: float, data: QuadraticData) -> float:
                              + mu ** 2 * data.s_gg))
 
 
-def dual_bisection(data: QuadraticData, p_t: float,
-                   eps: float = BISECTION_EPS
+def dual_bisection(data: QuadraticData, p_t: float
                    ) -> tuple[np.ndarray, float, float]:
-    """Solve the convex subproblem by bisection on the power multiplier.
+    """Solve the convex subproblem by a bracketed search on lambda.
 
     Returns (F, lambda, mu).  If the unconstrained solution already fits the
-    budget, lambda = 0; otherwise lambda is bisected until the bracket is
-    tighter than eps (relative) and the low-power side is returned, so the
-    power constraint holds.
+    budget, lambda = 0; otherwise lambda is the low-power end of a bracket
+    tighter than ROOT_EPS (relative) whose power is within ROOT_EPS of p_t,
+    so the power constraint holds.
     """
-    if power_of_lambda(0.0, data) <= p_t:
-        mu = compute_mu(0.0, data)
-        return precoder_closed_form(0.0, mu, data), 0.0, mu
-
-    lam_u, doublings = 1.0, 0
-    p_at_u = power_of_lambda(lam_u, data)
-    while p_at_u > p_t:
-        lam_u *= 2.0
-        doublings += 1
-        if doublings > MAX_DOUBLINGS:
-            raise BracketError("could not bracket the power multiplier")
-        p_at_u = power_of_lambda(lam_u, data)
-    lam_l = lam_u / 2.0 if doublings > 0 else 0.0
-
-    for _ in range(256):
-        bracket_done = lam_u - lam_l <= eps * max(1.0, lam_u)
-        if bracket_done and p_t - p_at_u <= 1e-8 * p_t:
-            break
-        mid = 0.5 * (lam_l + lam_u)
-        if mid <= lam_l or mid >= lam_u:    # float resolution exhausted
-            break
-        p_mid = power_of_lambda(mid, data)
-        if p_mid >= p_t:
-            lam_l = mid
-        else:
-            lam_u, p_at_u = mid, p_mid
-    mu = compute_mu(lam_u, data)
-    return precoder_closed_form(lam_u, mu, data), lam_u, mu
+    p0 = power_of_lambda(0.0, data)
+    lam = 0.0 if p0 <= p_t else _bracketed_root(
+        lambda x: power_of_lambda(x, data) - p_t, p0 - p_t,
+        slack_tol=ROOT_EPS * p_t)
+    mu = compute_mu(lam, data)
+    return precoder_closed_form(lam, mu, data), lam, mu
 
 
 def sca_objective(f: np.ndarray, data: QuadraticData) -> float:

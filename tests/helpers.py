@@ -179,6 +179,39 @@ def mu_per_user(lam, data, cutoff=1e-12):
     return (data.q_tilde - c0) / den
 
 
+def bisection_root(excess, eps=1e-8, slack_tol=np.inf, max_doublings=60):
+    """Smallest x >= 0 with excess(x) <= 0 by plain doubling and bisection.
+
+    The reference for linalg._bracketed_root, with the same stop rule
+    (bracket within eps * max(1, hi), excess at hi within slack_tol of
+    zero, or float resolution exhausted).  Returns the feasible end of the
+    final bracket.
+    """
+    hi, doublings = 1.0, 0
+    e_hi = excess(hi)
+    while e_hi > 0.0:
+        hi *= 2.0
+        doublings += 1
+        if doublings > max_doublings:
+            raise ValueError("could not bracket the root")
+        e_hi = excess(hi)
+    lo = hi / 2.0 if doublings > 0 else 0.0
+
+    for _ in range(256):
+        bracket_done = hi - lo <= eps * max(1.0, hi)
+        if bracket_done and -e_hi <= slack_tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:    # float resolution exhausted
+            break
+        e_mid = excess(mid)
+        if e_mid > 0.0:
+            lo = mid
+        else:
+            hi, e_hi = mid, e_mid
+    return hi
+
+
 def project_ball_halfspace(x, radius, a, c):
     """Euclidean projection onto {||y|| <= radius} cut by {Re<a, y> >= c}.
 

@@ -104,6 +104,18 @@ class TestScenarioCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["seed"] == 77
 
+    def test_check_feasibility_out_prints_summary(self, tmp_path, capsys):
+        scen = write(tmp_path, "scen.json", scenario_doc())
+        out = tmp_path / "feasibility.json"
+        assert main(["check-feasibility", scen, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        doc = json.loads(out.read_text())
+        assert doc["feasible"] is True
+        assert len(printed) == 1
+        assert printed[0].startswith("feasible=True ")
+        assert main(["check-feasibility", scen]) == 0
+        assert json.loads(capsys.readouterr().out) == doc
+
     def test_solve_writes_report(self, tmp_path, capsys):
         scen = write(tmp_path, "scen.json", scenario_doc())
         out = tmp_path / "report.json"

@@ -1,0 +1,89 @@
+import numpy as np
+import pytest
+
+from irs_swipt import (build_quadratic, compute_mu, effective_channels,
+                       eh_slack, harvested_power_quadratic, mm_prepare,
+                       power_of_lambda, precoder_closed_form)
+from irs_swipt.errors import BracketError, ConditioningError
+from irs_swipt.linalg import (MAX_DOUBLINGS, ROOT_EPS, _bracketed_root, herm,
+                              inverse_logdet_pd)
+
+from helpers import (bench_config, bisection_root, crandn, unit_phases,
+                     wmmse_state)
+from test_phase import make_phase_data
+
+
+def dual_excess(seed):
+    """P(lambda) - p_t on a C2-style instance whose harvest threshold is
+    half the lambda = 0 harvest, so mu > 0 at large lambda."""
+    rng = np.random.default_rng(20_000 + seed)
+    cfg = bench_config()
+    ch, phi, f, u, w = wmmse_state(rng, cfg)
+    eff = effective_channels(ch, phi, cfg)
+    data = build_quadratic(u, w, eff, f, cfg, eh_threshold=0.0)
+    q0 = harvested_power_quadratic(precoder_closed_form(0.0, 0.0, data), eff.g)
+    data = data.with_anchor(f, 0.5 * q0)
+    p0 = power_of_lambda(0.0, data)
+    p_t = 0.5 * (p0 + power_of_lambda(1e12, data))
+    return data, (lambda lam: power_of_lambda(lam, data) - p_t), p0 - p_t, p_t
+
+
+def price_excess(seed):
+    """q_hat - J(p) on a make_phase_data instance in Case II."""
+    rng = np.random.default_rng(30_000 + seed)
+    data = make_phase_data(rng, 6)
+    state = mm_prepare(data, unit_phases(rng, 6))
+    j0 = eh_slack(0.0, state, data)
+    q_hat = j0 + 0.75 * (2.0 * float(np.sum(np.abs(state.w))) - j0)
+    return (lambda p: q_hat - eh_slack(p, state, data)), q_hat - j0
+
+
+class TestBracketedRoot:
+    def test_constant_excess_raises_bracket_error(self):
+        calls = []
+
+        def excess(x):
+            calls.append(x)
+            return 1.0
+
+        with pytest.raises(BracketError):
+            _bracketed_root(excess, 1.0)
+        assert calls == [2.0 ** i for i in range(MAX_DOUBLINGS + 1)]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_plain_bisection(self, seed):
+        data, excess, at_zero, p_t = dual_excess(seed)
+        tol = ROOT_EPS * p_t
+        lam = _bracketed_root(excess, at_zero, slack_tol=tol)
+        ref = bisection_root(excess, slack_tol=tol)
+        assert excess(lam) <= 0.0
+        assert -excess(lam) <= tol
+        assert abs(lam - ref) <= ROOT_EPS * max(1.0, lam, ref)
+        assert compute_mu(lam, data) > 0.0
+
+        excess, at_zero = price_excess(seed)
+        p = _bracketed_root(excess, at_zero)
+        ref = bisection_root(excess)
+        assert excess(p) <= 0.0
+        assert abs(p - ref) <= ROOT_EPS * max(1.0, p, ref)
+
+    def test_root_at_bracket_start(self):
+        # the root lies exactly on a doubling point and on a bisection point
+        for root in (1.0, 4.0, 0.25):
+            x = _bracketed_root(lambda x: root - x, root)
+            assert x >= root and x - root <= ROOT_EPS * max(1.0, root)
+
+
+class TestInverseLogdet:
+    def test_matches_dense_inverse_and_slogdet(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 5):
+            x = crandn(rng, n, n)
+            a = x @ herm(x) + 0.1 * np.eye(n)
+            inv, logdet = inverse_logdet_pd(a)
+            assert np.allclose(inv @ a, np.eye(n), atol=1e-10)
+            assert logdet == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-12)
+
+    def test_ill_conditioned_raises(self):
+        with pytest.raises(ConditioningError):
+            inverse_logdet_pd(np.diag([1.0, 1e-14]).astype(complex))

@@ -5,6 +5,7 @@ from irs_swipt import (build_quadratic, compute_mu, dual_bisection,
                        effective_channels, harvested_power_quadratic,
                        power_of_lambda, precoder_closed_form,
                        sca_precoder_solve)
+from irs_swipt import precoder
 from irs_swipt.errors import InfeasibleDirectionError
 from irs_swipt.linalg import frob_sq, herm
 from irs_swipt.precoder import QuadraticData, sca_objective
@@ -315,6 +316,27 @@ class TestDualBisection:
                               for k in range(cfg.n_irs))
             assert lin_h >= data.q_tilde * (1.0 - 1e-9) - 1e-12
             assert sca_objective(f, data) >= z_star - 1e-9 * max(1.0, abs(z_star))
+
+    def test_probe_count_on_oracle_instances(self, monkeypatch):
+        # C4's instances: the P(0) probe plus plain bisection
+        # (helpers.bisection_root) take 45.3 power evaluations per solve,
+        # the Illinois search 27.95.  On six of them p_t falls in the jump
+        # of P(lambda) where a near-zero eigenvalue of A crosses the cutoff,
+        # and both searches run to float resolution.
+        calls = []
+
+        def counted(lam, data):
+            calls.append(lam)
+            return power_of_lambda(lam, data)
+
+        monkeypatch.setattr(precoder, "power_of_lambda", counted)
+        for seed in range(20):
+            rng = np.random.default_rng(50_000 + seed)
+            cfg = bench_config(n_bs=2 + seed % 2, n_ir=2, d=1,
+                               k_i=1 + seed % 2, m=3)
+            data, _, _ = random_data(rng, cfg=cfg)
+            dual_bisection(data, tight_budget(data, 0.4))
+        assert len(calls) / 20 < 36.0
 
 
 class TestScaSolve:
