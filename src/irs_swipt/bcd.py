@@ -8,7 +8,9 @@ every iterate stays feasible.
 
 The refresh builds the effective channels once per sweep; the same build
 gives the decoders, the weights, the sweep's rate (log det W_k at the MMSE
-optimum), its harvested power, and the next sweep's precoder block.
+optimum), its harvested power, and the next sweep's precoder block.  The
+refresh is batched over receivers: one solve and one factorization call on
+the stacked per-receiver matrices, with no loop over users.
 """
 
 from __future__ import annotations
@@ -80,27 +82,20 @@ def mmse_refresh(f: np.ndarray, eff: EffectiveChannels,
     U_k = C_k^-1 Hbar_k F_k, its error covariance E_k = I - (Hbar_k F_k)^H U_k
     and the weight W_k = E_k^-1.  At these optima the rate of IR k equals
     -log det E_k, so the returned weighted sum rate (nats) needs no extra
-    solve.  Returns (U, W, wsr_nats).
+    solve.  One product gives every Hbar_k F_m; one batched solve over the
+    stacked C_k and one batched factorization of the stacked E_k give U, W
+    and every log det E_k.  Returns (U, W, wsr_nats).
     """
-    sigma2 = config.noise_power_ir
-    d = config.n_streams
-    eye_d = np.eye(d, dtype=complex)
-    u = np.empty((config.n_irs, config.n_ir_antennas, d), dtype=complex)
-    w = np.empty((config.n_irs, d, d), dtype=complex)
-    wsr_nats = 0.0
-    for k in range(config.n_irs):
-        hbar = eff.hbar[k]
-        cov = sigma2 * np.eye(config.n_ir_antennas, dtype=complex)
-        for m in range(config.n_irs):
-            hf = hbar @ f[m]
-            cov += hf @ herm(hf)
-        hf_k = hbar @ f[k]
-        u_k = hermitian_solve(cov, hf_k)
-        u[k] = u_k
-        e_star = hermitianize(eye_d - herm(hf_k) @ u_k)
-        w[k], logdet_e = inverse_logdet_pd(e_star)
-        wsr_nats -= config.rate_weights[k] * logdet_e
-    return u, w, wsr_nats
+    hf = eff.hbar[:, None] @ f                          # [k, m] = Hbar_k F_m
+    terms = hf @ herm(hf)
+    # sigma2 I joins the m = 1 term, then the terms add up in user order
+    terms[:, 0] += config.noise_power_ir * np.eye(config.n_ir_antennas)
+    cov = terms.sum(axis=1)
+    hf_own = np.einsum("kkid->kid", hf)                 # Hbar_k F_k
+    u = hermitian_solve(cov, hf_own)
+    e_star = hermitianize(np.eye(config.n_streams) - herm(hf_own) @ u)
+    w, logdet_e = inverse_logdet_pd(e_star)
+    return u, w, -float(np.sum(np.multiply(config.rate_weights, logdet_e)))
 
 
 def _check_init(f, phi, eff, config):
@@ -128,19 +123,22 @@ def _track(report: SolveReport, iteration: int, f: np.ndarray,
 def bcd_solve(channels: ChannelSet, config: SystemConfig,
               init: tuple[np.ndarray, np.ndarray], eps: float = BCD_EPS,
               n_max: int = BCD_MAX_ITER, optimize_phase: bool = True,
-              inner_eps: float | None = None) -> SolveReport:
+              inner_eps: float | None = None, *,
+              eff: EffectiveChannels | None = None) -> SolveReport:
     """Run block coordinate descent from a feasible (F, phi) pair.
 
     A failed inner solve keeps the previous block value and continues; after
     MAX_CONSECUTIVE_FAILURES failed sweeps in a row the run aborts.
     optimize_phase=False freezes phi (fixed-phase baseline).  inner_eps
     overrides both inner solvers' relative tolerances (convergence studies).
+    eff, if given, is the effective channels already built at init's phases.
     """
     t0 = time.perf_counter()
     f, phi = init
     f = np.asarray(f, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
-    eff = effective_channels(channels, phi, config)
+    if eff is None:
+        eff = effective_channels(channels, phi, config)
     _check_init(f, phi, eff, config)
 
     report = SolveReport(wsr_trajectory=[], f=f, phi=phi, feasible=True,

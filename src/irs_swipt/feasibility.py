@@ -60,7 +60,8 @@ def max_eh_phase_step(f: np.ndarray, eff: EffectiveChannels,
 
 
 def spread_streams(f: np.ndarray, channels: ChannelSet, config: SystemConfig,
-                   phi: np.ndarray, mix: float = 1.0) -> np.ndarray:
+                   phi: np.ndarray, mix: float = 1.0, *,
+                   eff: EffectiveChannels | None = None) -> np.ndarray:
     """Move power into the zero stream columns of an energy-beamforming
     precoder, aiming for an equal split across streams.
 
@@ -70,12 +71,14 @@ def spread_streams(f: np.ndarray, channels: ChannelSet, config: SystemConfig,
     directions (backing off whenever the harvest constraint would break)
     unlocks the remaining streams without losing feasibility; a full-strength
     mix also converges measurably faster than a faint perturbation, which
-    leaves the solver crawling out of the near-rank-one saddle.
+    leaves the solver crawling out of the near-rank-one saddle.  eff, if
+    given, is the effective channels already built at phi.
     """
     d = config.n_streams
     if d == 1 or not np.any(np.abs(f)):
         return f
-    eff = effective_channels(channels, phi, config)
+    if eff is None:
+        eff = effective_channels(channels, phi, config)
     power = frob_sq(f)
     qbar = config.eh_threshold
 
@@ -102,33 +105,28 @@ def spread_streams(f: np.ndarray, channels: ChannelSet, config: SystemConfig,
 
 
 def feasibility_check(channels: ChannelSet, config: SystemConfig,
-                      n_max: int = FEAS_MAX_ITER
-                      ) -> tuple[bool, np.ndarray, np.ndarray, float]:
+                      n_max: int = FEAS_MAX_ITER, *,
+                      return_channels: bool = False) -> tuple:
     """Alternate energy beamforming and phase ascent until the harvest
     threshold is reached or progress stalls.
 
     Returns (feasible, F, phi, Q_achieved); when feasible, (F, phi) is a
-    valid starting point for the joint solver.
+    valid starting point for the joint solver.  return_channels=True
+    appends the effective channels at phi, which the joint solver starts
+    from.
     """
     qbar = config.eh_threshold
     phi = np.ones(config.n_elements, dtype=complex)
     eff = effective_channels(channels, phi, config)
     f, q = max_eh_precoder(eff, config)
-    if q >= qbar or config.n_elements == 0:
-        return q >= qbar, f, phi, q
-
-    best = (f, phi, q)
-    for _ in range(n_max):
+    best = (q >= qbar, f, phi, q, eff)
+    for _ in range(0 if q >= qbar or config.n_elements == 0 else n_max):
         phi = max_eh_phase_step(f, eff, channels, config)
         eff = effective_channels(channels, phi, config)
         f, q_new = max_eh_precoder(eff, config)
-        if q_new > best[2]:
-            best = (f, phi, q_new)
-        if q_new >= qbar:
-            return True, f, phi, q_new
-        if abs(q_new - q) <= STALL_RTOL * max(q_new, 1e-300):
+        if q_new > best[3]:
+            best = (q_new >= qbar, f, phi, q_new, eff)
+        if q_new >= qbar or abs(q_new - q) <= STALL_RTOL * max(q_new, 1e-300):
             break
         q = q_new
-
-    f, phi, q = best
-    return False, f, phi, q
+    return best if return_channels else best[:4]

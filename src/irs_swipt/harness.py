@@ -145,13 +145,14 @@ def solve_with_init(channels: ChannelSet, config: SystemConfig,
     optimize_phase=False freezes the phases at the feasibility-check
     solution (the fixed-phase baseline).
     """
-    feasible, f0, phi0, q0 = feasibility_check(channels, config)
+    feasible, f0, phi0, _, eff0 = feasibility_check(channels, config,
+                                                    return_channels=True)
     if not feasible:
         return SolveReport(wsr_trajectory=[(0, 0.0)], f=f0, phi=phi0,
                            feasible=False, iterations_used=0)
-    f0 = spread_streams(f0, channels, config, phi0)
+    f0 = spread_streams(f0, channels, config, phi0, eff=eff0)
     return bcd_solve(channels, config, (f0, phi0), eps=eps, n_max=n_max,
-                     optimize_phase=optimize_phase)
+                     optimize_phase=optimize_phase, eff=eff0)
 
 
 def run_no_irs(channels: ChannelSet, config: SystemConfig,

@@ -2,6 +2,8 @@
 
 All rate/MSE computations go through Hermitian solves or Cholesky factors;
 explicit inverses are avoided except for the tiny d-by-d weight matrices.
+herm, hermitianize and the checked factorizations act on the last two axes,
+so a (..., n, n) stack (one matrix per user) is factored in one call.
 """
 
 import numpy as np
@@ -14,8 +16,8 @@ ROOT_EPS = 1e-8
 
 
 def herm(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of the last two axes."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
@@ -24,16 +26,15 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
 
 
 def _checked_cholesky(a: np.ndarray) -> np.ndarray:
-    """Cholesky factor of the Hermitian positive-definite a; raises
-    ConditioningError past MAX_CONDITION (noise power > 0 keeps every
-    system factored here well away from that)."""
+    """Cholesky factor of each matrix of the Hermitian positive-definite a;
+    raises ConditioningError if any is past MAX_CONDITION (noise power > 0
+    keeps every system factored here well away from that)."""
     a = hermitianize(a)
     w = np.linalg.eigvalsh(a)
-    if w[0] <= 0.0 or w[-1] / w[0] > MAX_CONDITION:
-        raise ConditioningError(
-            f"Hermitian system condition {w[-1] / max(w[0], 1e-300):.3e} exceeds "
-            f"{MAX_CONDITION:.0e}"
-        )
+    lo, hi = w[..., 0], w[..., -1]
+    if not np.all(lo > 0.0) or np.any(hi / lo > MAX_CONDITION):
+        cond = np.max(hi / np.maximum(lo, 1e-300))
+        raise ConditioningError(f"condition {cond:.3e} > {MAX_CONDITION:.0e}")
     return np.linalg.cholesky(a)
 
 
@@ -43,12 +44,13 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(herm(c), np.linalg.solve(c, b))
 
 
-def inverse_logdet_pd(a: np.ndarray) -> tuple[np.ndarray, float]:
+def inverse_logdet_pd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitianized a^-1 and log det a from one condition-checked Cholesky
-    factor of the Hermitian positive-definite a."""
+    factor of each Hermitian positive-definite matrix of a."""
     c = _checked_cholesky(a)
-    inv = np.linalg.solve(herm(c), np.linalg.solve(c, np.eye(len(c), dtype=c.dtype)))
-    return hermitianize(inv), float(2.0 * np.sum(np.log(np.real(np.diag(c)))))
+    inv = np.linalg.solve(herm(c), np.linalg.inv(c))
+    logdet = 2.0 * np.sum(np.log(np.diagonal(c, 0, -2, -1).real), axis=-1)
+    return hermitianize(inv), logdet
 
 
 def logdet_pd(a: np.ndarray) -> float:
@@ -70,7 +72,7 @@ def frob_sq(a: np.ndarray) -> float:
 
 def unit_phase(z: np.ndarray) -> np.ndarray:
     """exp(j arg(z)) entrywise, with arg(0) := 0 so zero entries map to 1."""
-    return np.exp(1j * np.angle(z))
+    return np.exp(1j * np.arctan2(z.imag, z.real))
 
 
 def _bracketed_root(excess, at_zero: float, slack_tol: float = np.inf) -> float:

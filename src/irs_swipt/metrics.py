@@ -107,7 +107,7 @@ def harvested_power(f: np.ndarray, eff: EffectiveChannels,
 
 def harvested_power_quadratic(f: np.ndarray, g: np.ndarray) -> float:
     """Weighted harvested power in the quadratic form tr(sum_k F_k^H G F_k)."""
-    return float(sum(np.real(np.trace(herm(fk) @ g @ fk)) for fk in f))
+    return float(np.real(np.vdot(f, g @ f)))
 
 
 def mse_matrix(k: int, f: np.ndarray, u: np.ndarray, eff: EffectiveChannels,

@@ -20,8 +20,10 @@ eta) G_r,l^H] and c = conj(Z [F_1 ... F_K]).  X has (K_I d)^2 columns and Y
 has K_E N_E K_I d, so no M x M matrix is formed: v and g are row-wise sums,
 lambda_max(Xi) is the top eigenvalue of the small Gram X^H X, and every
 product with Xi or Upsilon is X (X^H phi) or Y (Y^H phi), O(M r) per MM
-step.  Each MM step majorizes the quadratic with lambda_max(Xi) I and
-linearizes the harvest quadratic at the anchor, leaving
+step.  The assembly builds every user's columns of P and of the linear term
+in one batched product, and each MM anchor is projected once, onto the
+stacked conj([X Y]).  Each MM step majorizes the quadratic with
+lambda_max(Xi) I and linearizes the harvest quadratic at the anchor, leaving
 
     max 2 Re{phi^H q}   s.t.  |phi_m| = 1,  2 Re{phi^H w} >= q_hat,
 
@@ -32,7 +34,7 @@ J is non-decreasing in p, so the shared bracketed root search applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -58,6 +60,14 @@ class PhaseQcqpData:
     lam_max: float              # max eigenvalue of Xi
     direct_harvest: float       # phase-independent harvested power
     obj_const: float            # phase-independent part of the rate objective
+    factors_conj: np.ndarray = field(init=False)    # (M, r + r') conj([X Y])
+    v_conj: np.ndarray = field(init=False)
+    g_conj: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.factors_conj = np.conj(
+            np.concatenate((self.xi_factor, self.upsilon_factor), axis=1))
+        self.v_conj, self.g_conj = self.v.conj(), self.g.conj()
 
 
 @dataclass
@@ -101,19 +111,19 @@ def assemble_phase_qcqp(u: np.ndarray, w: np.ndarray, f: np.ndarray,
     direct = frob_sq(g_b @ f_cat)
 
     chol = np.linalg.cholesky(w)                        # W_k = L_k L_k^H
-    p_cols, t_cols = [], []
-    obj_const = 0.0
-    for k in range(config.n_irs):
-        om = omegas[k]
-        uh_b = herm(u[k]) @ channels.h_b[k]             # (d, N_B)
-        p_cols.append(np.sqrt(om) * herm(channels.h_r[k]) @ u[k] @ chol[k])
-        t_cols.append(om * (f_tilde @ herm(uh_b) - f[k]) @ w[k] @ herm(u[k]))
-        obj_const += om * frob_sq(herm(chol[k]) @ uh_b @ f_cat)
-        obj_const -= 2.0 * om * float(np.real(np.trace(w[k] @ uh_b @ f[k])))
+    uh_b = herm(u) @ channels.h_b                       # (K_I, d, N_B)
+    # P = [sqrt(omega_k) H_r,k^H U_k L_k], all users in one product
+    p = np.sqrt(omegas)[:, None, None] * herm(channels.h_r) @ u @ chol
+    t = omegas[:, None, None] * (f_tilde @ herm(uh_b) - f) @ w @ herm(u)
     h_r = channels.h_r.reshape(config.n_irs * config.n_ir_antennas, m)
-    v = np.einsum("mn,nm->m", channels.z @ np.concatenate(t_cols, axis=1), h_r)
+    v = np.einsum("mn,nm->m", channels.z @ np.concatenate(t, axis=1), h_r)
+    # sum_k omega_k (||L_k^H U_k^H H_b,k [F_1 ... F_K]||^2
+    #                - 2 Re tr(W_k U_k^H H_b,k F_k)), with tr(W B) = vdot(W, B)
+    lu, om = herm(chol) @ uh_b @ f_cat, omegas[:, None, None]
+    obj_const = float(np.real(np.vdot(lu, om * lu)
+                              - 2.0 * np.vdot(om * w, uh_b @ f)))
 
-    x = _hadamard_factor(np.concatenate(p_cols, axis=1), c_bar)
+    x = _hadamard_factor(np.concatenate(p, axis=1), c_bar)
     lam_max = float(np.linalg.eigvalsh(herm(x) @ x)[-1])
     return PhaseQcqpData(
         xi_factor=x, upsilon_factor=_hadamard_factor(herm(g_r), c_bar),
@@ -121,25 +131,21 @@ def assemble_phase_qcqp(u: np.ndarray, w: np.ndarray, f: np.ndarray,
         direct_harvest=direct, obj_const=obj_const)
 
 
-def _project(factor: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """factor^H phi, without conjugating the (M, r) factor."""
-    return (phi.conj() @ factor).conj()
-
-
-def _form_value(proj: np.ndarray, phi: np.ndarray, lin: np.ndarray) -> float:
+def _form_value(proj: np.ndarray, phi: np.ndarray, lin_conj: np.ndarray) -> float:
     """phi^H F F^H phi + 2 Re{phi^H lin*} from the projection F^H phi."""
-    return float(np.real(np.vdot(proj, proj))
-                 + 2.0 * np.real(np.vdot(phi, lin.conj())))
+    return float(np.vdot(proj, proj).real + 2.0 * np.vdot(phi, lin_conj).real)
 
 
 def phase_objective(phi: np.ndarray, data: PhaseQcqpData) -> float:
     """f(phi) = phi^H Xi phi + 2 Re{phi^H v*}."""
-    return _form_value(_project(data.xi_factor, phi), phi, data.v)
+    r = data.xi_factor.shape[1]
+    return _form_value(phi @ data.factors_conj[:, :r], phi, data.v_conj)
 
 
 def reflect_harvest(phi: np.ndarray, data: PhaseQcqpData) -> float:
     """Phase-dependent harvest term phi^H Upsilon phi + 2 Re{phi^H g*}."""
-    return _form_value(_project(data.upsilon_factor, phi), phi, data.g)
+    r = data.xi_factor.shape[1]
+    return _form_value(phi @ data.factors_conj[:, r:], phi, data.g_conj)
 
 
 def true_harvest(phi: np.ndarray, data: PhaseQcqpData) -> float:
@@ -150,17 +156,21 @@ def true_harvest(phi: np.ndarray, data: PhaseQcqpData) -> float:
 def mm_prepare(data: PhaseQcqpData, phi_anchor: np.ndarray) -> MmState:
     """Majorize at the anchor: q = (lam_max I - Xi) anchor - v*, and the
     harvest bound 2 Re{phi^H w} >= q_hat with w = g* + Upsilon anchor and
-    q_hat = q_resid + anchor^H Upsilon anchor.  One projection of the anchor
-    onto each factor also gives f(anchor) and the reflected harvest there."""
-    x_proj = _project(data.xi_factor, phi_anchor)
-    y_proj = _project(data.upsilon_factor, phi_anchor)
+    q_hat = q_resid + anchor^H Upsilon anchor.  One product with the stacked
+    conj([X Y]) projects the anchor onto both factors, which also gives
+    f(anchor) and the reflected harvest there."""
+    r = data.xi_factor.shape[1]
+    proj = phi_anchor @ data.factors_conj      # [X Y]^H anchor
+    x_proj, y_proj = proj[:r], proj[r:]
+    upsilon_form = float(np.vdot(y_proj, y_proj).real)
     return MmState(
         anchor=phi_anchor,
-        q=data.lam_max * phi_anchor - data.xi_factor @ x_proj - data.v.conj(),
-        q_hat=data.q_resid + float(np.real(np.vdot(y_proj, y_proj))),
-        w=data.g.conj() + data.upsilon_factor @ y_proj,
-        objective=_form_value(x_proj, phi_anchor, data.v),
-        reflected=_form_value(y_proj, phi_anchor, data.g))
+        q=data.lam_max * phi_anchor - data.xi_factor @ x_proj - data.v_conj,
+        q_hat=data.q_resid + upsilon_form,
+        w=data.g_conj + data.upsilon_factor @ y_proj,
+        objective=_form_value(x_proj, phi_anchor, data.v_conj),
+        reflected=upsilon_form
+        + 2.0 * float(np.vdot(phi_anchor, data.g_conj).real))
 
 
 def phase_closed_form(p: float, state: MmState,
@@ -171,7 +181,7 @@ def phase_closed_form(p: float, state: MmState,
 
 def _slack(phi: np.ndarray, state: MmState) -> float:
     """2 Re{phi^H w}, the left side of the linearized harvest bound."""
-    return 2.0 * float(np.real(np.vdot(phi, state.w)))
+    return 2.0 * float(np.vdot(phi, state.w).real)
 
 
 def eh_slack(p: float, state: MmState, data: PhaseQcqpData) -> float:
@@ -192,7 +202,7 @@ def price_bisection(state: MmState,
     the feasible side of the bracket.
     """
     q_hat = state.q_hat
-    phi0 = phase_closed_form(0.0, state, data)
+    phi0 = unit_phase(state.q)
     j0 = _slack(phi0, state)
     if j0 >= q_hat or reflect_harvest(phi0, data) >= data.q_resid:
         return phi0, 0.0

@@ -65,7 +65,7 @@ class QuadraticData:
     lin: np.ndarray         # (K_I, N_B, d), L_k
     g: np.ndarray           # (N_B, N_B) harvest quadratic
     basis: np.ndarray       # (N_B, N_B) eigenvectors of A
-    values: np.ndarray      # (N_B,) eigenvalues of A, clipped at zero
+    values: np.ndarray      # (N_B,) eigenvalues of A, ascending, clipped at 0
     lin_proj: np.ndarray    # basis^H @ L_k
     f_anchor: np.ndarray    # (K_I, N_B, d)
     gfa: np.ndarray         # G @ F_anchor_k
@@ -112,8 +112,10 @@ def build_quadratic(u: np.ndarray, w: np.ndarray, eff: EffectiveChannels,
 
 def _shift_inverse(lam: float, data: QuadraticData) -> np.ndarray:
     """Diagonal of (A + lambda I)^+ in the cached eigenbasis."""
-    den = data.values + lam
-    cutoff = EIG_CUTOFF * max(float(den.max()), 1e-300)
+    den = data.values + lam                 # ascending
+    cutoff = EIG_CUTOFF * max(float(den[-1]), 1e-300)
+    if den[0] > cutoff:
+        return 1.0 / den
     return np.where(den > cutoff, 1.0 / np.maximum(den, cutoff), 0.0)
 
 

@@ -10,7 +10,9 @@ import numpy as np
 
 from irs_swipt import (ChannelSet, SystemConfig, effective_channels,
                        mmse_refresh)
-from irs_swipt.linalg import herm, hermitianize
+from irs_swipt.linalg import (herm, hermitian_solve, hermitianize,
+                              inverse_logdet_pd)
+from irs_swipt.phase import MmState
 
 
 def crandn(rng, *shape, scale=1.0):
@@ -51,6 +53,20 @@ def random_precoders(rng, config, power=None):
     f = crandn(rng, config.n_irs, config.n_bs_antennas, config.n_streams)
     target = config.power_budget if power is None else power
     return f * np.sqrt(target / max(np.sum(np.abs(f) ** 2), 1e-300))
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a pass-through that records each call's
+    positional arguments; returns the (live) list of recorded calls."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def wmmse_state(rng, config, channels=None, phi=None, f=None):
@@ -122,6 +138,56 @@ def wsr_gradient(f, phi, channels, config):
             if k != m:
                 grad[k] -= om * herm(hbar) @ j_inv_h @ f[k]
     return grad
+
+
+def mmse_refresh_loop(f, eff, config):
+    """The MMSE refresh one user at a time: C_k summed over m, then one
+    checked solve for U_k and one checked factor of E_k per user.  The
+    reference for the batched bcd.mmse_refresh; returns (U, W, wsr_nats)."""
+    sigma2 = config.noise_power_ir
+    d = config.n_streams
+    eye_d = np.eye(d, dtype=complex)
+    u = np.empty((config.n_irs, config.n_ir_antennas, d), dtype=complex)
+    w = np.empty((config.n_irs, d, d), dtype=complex)
+    wsr_nats = 0.0
+    for k in range(config.n_irs):
+        hbar = eff.hbar[k]
+        cov = sigma2 * np.eye(config.n_ir_antennas, dtype=complex)
+        for m in range(config.n_irs):
+            hf = hbar @ f[m]
+            cov += hf @ herm(hf)
+        hf_k = hbar @ f[k]
+        u_k = hermitian_solve(cov, hf_k)
+        u[k] = u_k
+        e_star = hermitianize(eye_d - herm(hf_k) @ u_k)
+        w[k], logdet_e = inverse_logdet_pd(e_star)
+        wsr_nats -= config.rate_weights[k] * logdet_e
+    return u, w, wsr_nats
+
+
+def _project_one(factor, phi):
+    """factor^H phi, without conjugating the (M, r) factor."""
+    return (phi.conj() @ factor).conj()
+
+
+def _form_value_one(proj, phi, lin):
+    """phi^H F F^H phi + 2 Re{phi^H lin*} from the projection F^H phi."""
+    return float(np.real(np.vdot(proj, proj))
+                 + 2.0 * np.real(np.vdot(phi, lin.conj())))
+
+
+def mm_prepare_two_projections(data, phi_anchor):
+    """The MM anchor state with the anchor projected onto X and onto Y
+    separately; the reference for phase.mm_prepare's stacked projection."""
+    x_proj = _project_one(data.xi_factor, phi_anchor)
+    y_proj = _project_one(data.upsilon_factor, phi_anchor)
+    return MmState(
+        anchor=phi_anchor,
+        q=data.lam_max * phi_anchor - data.xi_factor @ x_proj - data.v.conj(),
+        q_hat=data.q_resid + float(np.real(np.vdot(y_proj, y_proj))),
+        w=data.g.conj() + data.upsilon_factor @ y_proj,
+        objective=_form_value_one(x_proj, phi_anchor, data.v),
+        reflected=_form_value_one(y_proj, phi_anchor, data.g))
 
 
 def waterfill_capacity(hbar, sigma2, p_total):

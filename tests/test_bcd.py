@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 import irs_swipt.bcd as bcd_module
+import irs_swipt.feasibility as feasibility_module
 from irs_swipt import (bcd_solve, effective_channels, feasibility_check,
                        harvested_power_quadratic, mmse_refresh, phase_solve,
-                       sca_precoder_solve, weighted_sum_rate, wmmse_objective)
-from irs_swipt.errors import SolverError
+                       sca_precoder_solve, solve_with_init, weighted_sum_rate,
+                       wmmse_objective)
+from irs_swipt.errors import ConditioningError, SolverError
 from irs_swipt.feasibility import spread_streams
-from irs_swipt.linalg import frob_sq
+from irs_swipt.linalg import frob_sq, inverse_logdet_pd
 from irs_swipt.metrics import mse_matrix
 
-from helpers import (bench_config, crandn, random_channels, random_precoders,
-                     unit_phases, waterfill_capacity, wmmse_state)
+from helpers import (bench_config, count_calls, crandn, mmse_refresh_loop,
+                     random_channels, random_precoders, unit_phases,
+                     waterfill_capacity, wmmse_state)
 
 from test_metrics import scalar_setup
 
@@ -30,6 +33,36 @@ def feasible_instance(rng, cfg, qbar_frac=0.5, sigma2=1.0):
 
 def refresh(f, phi, ch, cfg):
     return mmse_refresh(f, effective_channels(ch, phi, cfg), cfg)
+
+
+class TestBatchedRefresh:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("m", [0, 1, 37])
+    def test_matches_per_user_loop(self, d, m):
+        rng = np.random.default_rng(40 + 3 * m + d)
+        cfg = bench_config(k_i=3, n_ir=3, n_er=3, d=d, m=m,
+                           rate_weights=(0.4, 1.3, 2.2), eh_weights=(0.7, 1.9))
+        ch = random_channels(rng, cfg)
+        f = random_precoders(rng, cfg)
+        eff = effective_channels(ch, unit_phases(rng, m), cfg)
+        u, w, wsr = mmse_refresh(f, eff, cfg)
+        u_ref, w_ref, wsr_ref = mmse_refresh_loop(f, eff, cfg)
+        for got, ref in ((u, u_ref), (w, w_ref)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert wsr == pytest.approx(wsr_ref, rel=1e-12)
+
+    @pytest.mark.parametrize("k_i", [1, 2, 3, 4])
+    def test_two_eigvalsh_calls_for_any_user_count(self, monkeypatch, k_i):
+        # one condition check for the stacked C_k, one for the stacked E_k
+        rng = np.random.default_rng(50 + k_i)
+        cfg = bench_config(k_i=k_i, d=1)
+        ch = random_channels(rng, cfg)
+        eff = effective_channels(ch, unit_phases(rng, cfg.n_elements), cfg)
+        f = random_precoders(rng, cfg)
+        checks = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        mmse_refresh(f, eff, cfg)
+        assert len(checks) == 2
 
 
 class TestDecoderUpdate:
@@ -143,27 +176,70 @@ class TestBcdSolve:
             bcd_solve(ch, cfg_q, (f0, phi0))
         assert len(calls) == bcd_module.MAX_CONSECUTIVE_FAILURES
 
+    def test_batched_factorization_failure_is_absorbed(self, monkeypatch):
+        # a ConditioningError raised by a batched factorization inside a
+        # block costs that block one sweep, like any other solver failure
+        rng = np.random.default_rng(503)
+        ch, cfg_q, f0, phi0 = feasible_instance(rng, bench_config(m=5))
+        ill_second = np.stack((np.eye(2), np.diag([1.0, 1e-14]))).astype(complex)
+        real = bcd_module.sca_precoder_solve
+        raised = []
+
+        def fails_once(*args, **kwargs):
+            if not raised:
+                try:
+                    inverse_logdet_pd(ill_second)
+                except ConditioningError as exc:
+                    raised.append(exc)
+                    raise
+                raise AssertionError("the ill-conditioned stack was factored")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bcd_module, "sca_precoder_solve", fails_once)
+        report = bcd_solve(ch, cfg_q, (f0, phi0))
+        assert len(raised) == 1
+        assert report.iterations_used >= 2
+        rates = [r for _, r in report.wsr_trajectory]
+        for a, b in zip(rates, rates[1:]):
+            assert b >= a - 1e-9
+        assert frob_sq(report.f) <= cfg_q.power_budget * (1 + 1e-6)
+
     def test_one_channel_build_per_sweep(self, monkeypatch):
         # the precoder block reads the sweep's channels instead of
         # rebuilding them
         rng = np.random.default_rng(502)
         ch, cfg_q, f0, phi0 = feasible_instance(rng, bench_config(m=5))
-        real = bcd_module.effective_channels
-        builds = []
-
-        def counted(*args, **kwargs):
-            builds.append(None)
-            return real(*args, **kwargs)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the precoder block rebuilt the channels")
 
         monkeypatch.setattr("irs_swipt.precoder.effective_channels", forbidden,
                             raising=False)
-        monkeypatch.setattr(bcd_module, "effective_channels", counted)
+        builds = count_calls(monkeypatch, bcd_module, "effective_channels")
         report = bcd_solve(ch, cfg_q, (f0, phi0))
         assert report.iterations_used >= 2
         assert len(builds) == report.iterations_used + 1
+
+    @pytest.mark.parametrize("qbar_frac", [0.0, 0.5, 0.9])
+    def test_one_channel_build_at_the_starting_phases(self, monkeypatch,
+                                                      qbar_frac):
+        # feasibility_check builds the channels at its final phases; the
+        # stream spreading and the solver's start reuse that build
+        rng = np.random.default_rng(504)
+        cfg = bench_config(m=5)
+        ch = random_channels(rng, cfg)
+        q_max = feasibility_check(ch, bench_config(m=5, qbar=np.inf))[3]
+        cfg_q = bench_config(m=5, qbar=qbar_frac * q_max)
+        phi0 = feasibility_check(ch, cfg_q)[2]
+        in_feasibility = count_calls(monkeypatch, feasibility_module,
+                                     "effective_channels")
+        in_bcd = count_calls(monkeypatch, bcd_module, "effective_channels")
+        report = solve_with_init(ch, cfg_q, n_max=0)
+        assert report.feasible and report.iterations_used == 0
+        assert in_bcd == []
+        at_start = [args for args in in_feasibility
+                    if np.array_equal(args[1], phi0)]
+        assert len(at_start) == 1
 
     def test_no_irs_reduction_matches_precoder_only(self):
         rng = np.random.default_rng(4)

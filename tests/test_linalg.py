@@ -5,7 +5,8 @@ from irs_swipt import (build_quadratic, compute_mu, effective_channels,
                        eh_slack, harvested_power_quadratic, mm_prepare,
                        power_of_lambda, precoder_closed_form)
 from irs_swipt.errors import BracketError, ConditioningError
-from irs_swipt.linalg import (MAX_DOUBLINGS, ROOT_EPS, _bracketed_root, herm,
+from irs_swipt.linalg import (MAX_CONDITION, MAX_DOUBLINGS, ROOT_EPS,
+                              _bracketed_root, herm, hermitian_solve,
                               inverse_logdet_pd)
 
 from helpers import (bench_config, bisection_root, crandn, unit_phases,
@@ -87,3 +88,35 @@ class TestInverseLogdet:
     def test_ill_conditioned_raises(self):
         with pytest.raises(ConditioningError):
             inverse_logdet_pd(np.diag([1.0, 1e-14]).astype(complex))
+
+
+class TestBatchedFactorization:
+    def pd_stack(self, rng, count, n):
+        x = crandn(rng, count, n, n)
+        return x @ herm(x) + 0.1 * np.eye(n)
+
+    def test_stack_matches_matrix_by_matrix(self):
+        rng = np.random.default_rng(4)
+        a = self.pd_stack(rng, 3, 4)
+        b = crandn(rng, 3, 4, 2)
+        x = hermitian_solve(a, b)
+        inv, logdet = inverse_logdet_pd(a)
+        assert inv.shape == a.shape and logdet.shape == (3,)
+        for k in range(3):
+            np.testing.assert_array_equal(x[k], hermitian_solve(a[k], b[k]))
+            inv_k, logdet_k = inverse_logdet_pd(a[k])
+            np.testing.assert_array_equal(inv[k], inv_k)
+            assert logdet[k] == logdet_k
+
+    @pytest.mark.parametrize("second", [
+        np.diag([1.0, 0.5 / MAX_CONDITION]),    # twice the bound
+        np.diag([1.0, 0.0]),                    # singular
+        np.diag([1.0, -1e-3]),                  # indefinite
+    ])
+    def test_only_second_matrix_bad_raises(self, second):
+        a = np.stack((np.eye(2), second)).astype(complex)
+        b = np.ones((2, 2, 1), dtype=complex)
+        with pytest.raises(ConditioningError):
+            hermitian_solve(a, b)
+        with pytest.raises(ConditioningError):
+            inverse_logdet_pd(a)

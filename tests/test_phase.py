@@ -13,7 +13,8 @@ from irs_swipt.phase import (PhaseQcqpData, phase_objective, reflect_harvest,
                              true_harvest)
 
 from helpers import (bench_config, crandn, dense_form, dense_phase_forms,
-                     phase_grid_best, unit_phases, wmmse_state)
+                     mm_prepare_two_projections, phase_grid_best, unit_phases,
+                     wmmse_state)
 
 
 def make_phase_data(rng, m, psd_scale=1.0, q_resid=0.0):
@@ -152,6 +153,29 @@ class TestMmPrepare:
         for _ in range(100):
             phi = unit_phases(rng, 6)
             assert majorizer(phi) >= quad_at(phi) - 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("m", [0, 1, 37])
+    def test_stacked_projection_matches_two_projections(self, d, m):
+        rng = np.random.default_rng(60 + 3 * m + d)
+        cfg = bench_config(k_i=3, n_ir=3, n_er=3, d=d, m=m,
+                           rate_weights=(0.4, 1.3, 2.2), eh_weights=(0.7, 1.9))
+        _, _, _, _, _, _, data = full_state(rng, cfg)
+        anchor = unit_phases(rng, m)
+        state = mm_prepare(data, anchor)
+        ref = mm_prepare_two_projections(data, anchor)
+        for got, want in ((state.q, ref.q), (state.w, ref.w)):
+            assert got.shape == want.shape == (m,)
+            assert np.all(np.abs(got - want)
+                          <= 1e-12 * max(np.max(np.abs(want), initial=0.0),
+                                         1e-300))
+        for name in ("q_hat", "objective", "reflected"):
+            assert getattr(state, name) == pytest.approx(
+                getattr(ref, name), rel=1e-12), name
+        assert state.objective == pytest.approx(phase_objective(anchor, data),
+                                                rel=1e-12)
+        assert state.reflected == pytest.approx(
+            reflect_harvest(anchor, data), rel=1e-12)
 
     def test_linearized_bound_matches_truth_at_anchor(self):
         rng = np.random.default_rng(6)
