@@ -21,15 +21,30 @@ has K_E N_E K_I d, so no M x M matrix is formed: v and g are row-wise sums,
 lambda_max(Xi) is the top eigenvalue of the small Gram X^H X, and every
 product with Xi or Upsilon is X (X^H phi) or Y (Y^H phi), O(M r) per MM
 step.  The assembly builds every user's columns of P and of the linear term
-in one batched product, and each MM anchor is projected once, onto the
-stacked conj([X Y]).  Each MM step majorizes the quadratic with
-lambda_max(Xi) I and linearizes the harvest quadratic at the anchor, leaving
+in one batched product and both factors in one Hadamard product of the
+stacked [P R] with c, so X and Y are column blocks of one array, and each
+MM anchor is projected once, onto its conjugate.  Each MM step majorizes
+the quadratic with lambda_max(Xi) I and linearizes the harvest quadratic at
+the anchor, leaving
 
     max 2 Re{phi^H q}   s.t.  |phi_m| = 1,  2 Re{phi^H w} >= q_hat,
 
 whose global optimum is phi_m = exp(j arg(q_m + p w_m)) for a price p >= 0
 chosen so the constraint slackness J(p) = 2 Re{phi(p)^H w} hits q_hat;
 J is non-decreasing in p, so the shared bracketed root search applies.
+
+One MM map T(phi) is that priced solve at the anchor phi, prepared as the
+next anchor.  phase_solve accelerates the map sequence with SQUAREM
+(Varadhan & Roland 2008): from phi_0 it takes phi_1 = T(phi_0) and
+phi_2 = T(phi_1), forms r = phi_1 - phi_0, v = phi_2 - phi_1 - r and the step
+alpha = min(-|r|/|v|, -1), and projects phi_0 - 2 alpha r + alpha^2 v to unit
+modulus.  alpha = -1 gives phi_2 itself (plain MM).  The extrapolated point
+is kept only if it meets the true harvest constraint and f there is no
+higher than f(phi_2); then one stabilizing map T is taken from it,
+otherwise the cycle restarts from phi_2.  Every T counts against the map
+budget and adds one trajectory entry, and the extrapolated point is never
+returned unmapped, so each recorded iterate is a feasible MM output and f
+never rises along the trajectory.
 """
 
 from __future__ import annotations
@@ -52,21 +67,23 @@ MM_MAX_ITER = 200
 class PhaseQcqpData:
     """Factored forms of the phase subproblem (fixed while phi iterates)."""
 
-    xi_factor: np.ndarray       # (M, r) X with Xi = X X^H
-    upsilon_factor: np.ndarray  # (M, r') Y with Upsilon = Y Y^H
+    factors: np.ndarray         # (M, r + r') [X Y], Xi = X X^H, Upsilon = Y Y^H
+    r: int                      # columns of X
     v: np.ndarray               # (M,) objective linear term (diagonal of V)
     g: np.ndarray               # (M,) harvest linear term (diagonal of G_br)
     q_resid: float              # harvest threshold minus the direct-path term
     lam_max: float              # max eigenvalue of Xi
     direct_harvest: float       # phase-independent harvested power
-    obj_const: float            # phase-independent part of the rate objective
-    factors_conj: np.ndarray = field(init=False)    # (M, r + r') conj([X Y])
+    xi_factor: np.ndarray = field(init=False)       # X, a view of factors
+    upsilon_factor: np.ndarray = field(init=False)  # Y, a view of factors
+    factors_conj: np.ndarray = field(init=False)    # conj([X Y])
     v_conj: np.ndarray = field(init=False)
     g_conj: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.factors_conj = np.conj(
-            np.concatenate((self.xi_factor, self.upsilon_factor), axis=1))
+        self.xi_factor = self.factors[:, :self.r]
+        self.upsilon_factor = self.factors[:, self.r:]
+        self.factors_conj = self.factors.conj()
         self.v_conj, self.g_conj = self.v.conj(), self.g.conj()
 
 
@@ -117,18 +134,16 @@ def assemble_phase_qcqp(u: np.ndarray, w: np.ndarray, f: np.ndarray,
     t = omegas[:, None, None] * (f_tilde @ herm(uh_b) - f) @ w @ herm(u)
     h_r = channels.h_r.reshape(config.n_irs * config.n_ir_antennas, m)
     v = np.einsum("mn,nm->m", channels.z @ np.concatenate(t, axis=1), h_r)
-    # sum_k omega_k (||L_k^H U_k^H H_b,k [F_1 ... F_K]||^2
-    #                - 2 Re tr(W_k U_k^H H_b,k F_k)), with tr(W B) = vdot(W, B)
-    lu, om = herm(chol) @ uh_b @ f_cat, omegas[:, None, None]
-    obj_const = float(np.real(np.vdot(lu, om * lu)
-                              - 2.0 * np.vdot(om * w, uh_b @ f)))
 
-    x = _hadamard_factor(np.concatenate(p, axis=1), c_bar)
+    # [X Y] = [P R] o c_bar in one product, R = g_r^H
+    p_cat = np.concatenate((*p, herm(g_r)), axis=1)
+    factors = _hadamard_factor(p_cat, c_bar)
+    r = p.shape[0] * p.shape[2] * c_bar.shape[1]
+    x = factors[:, :r]
     lam_max = float(np.linalg.eigvalsh(herm(x) @ x)[-1])
-    return PhaseQcqpData(
-        xi_factor=x, upsilon_factor=_hadamard_factor(herm(g_r), c_bar),
-        v=v, g=g, q_resid=config.eh_threshold - direct, lam_max=lam_max,
-        direct_harvest=direct, obj_const=obj_const)
+    return PhaseQcqpData(factors=factors, r=r, v=v, g=g,
+                         q_resid=config.eh_threshold - direct,
+                         lam_max=lam_max, direct_harvest=direct)
 
 
 def _form_value(proj: np.ndarray, phi: np.ndarray, lin_conj: np.ndarray) -> float:
@@ -173,8 +188,7 @@ def mm_prepare(data: PhaseQcqpData, phi_anchor: np.ndarray) -> MmState:
         + 2.0 * float(np.vdot(phi_anchor, data.g_conj).real))
 
 
-def phase_closed_form(p: float, state: MmState,
-                      data: PhaseQcqpData) -> np.ndarray:
+def phase_closed_form(p: float, state: MmState) -> np.ndarray:
     """Global optimum of the priced subproblem: align with q + p w."""
     return unit_phase(state.q + p * state.w)
 
@@ -186,7 +200,7 @@ def _slack(phi: np.ndarray, state: MmState) -> float:
 
 def eh_slack(p: float, state: MmState, data: PhaseQcqpData) -> float:
     """J(p) = 2 Re{phi(p)^H (g* + Upsilon anchor)}, non-decreasing in p."""
-    return _slack(phase_closed_form(p, state, data), state)
+    return _slack(phase_closed_form(p, state), state)
 
 
 def price_bisection(state: MmState,
@@ -225,7 +239,21 @@ def price_bisection(state: MmState,
 
     p = _bracketed_root(lambda x: q_hat - eh_slack(x, state, data),
                         q_hat - j0)
-    return phase_closed_form(p, state, data), p
+    return phase_closed_form(p, state), p
+
+
+def _squarem_point(phi0: np.ndarray, phi1: np.ndarray,
+                   phi2: np.ndarray) -> np.ndarray | None:
+    """Unit-modulus projection of the SQUAREM point phi0 - 2 alpha r +
+    alpha^2 v, alpha = min(-|r|/|v|, -1); None when alpha = -1, whose point
+    is phi2 itself, or when v = 0."""
+    r = phi1 - phi0
+    v = phi2 - phi1 - r
+    r_sq, v_sq = frob_sq(r), frob_sq(v)
+    if not r_sq > v_sq > 0.0:
+        return None
+    alpha = -np.sqrt(r_sq / v_sq)
+    return unit_phase(phi0 - 2.0 * alpha * r + alpha ** 2 * v)
 
 
 def phase_solve(u: np.ndarray, w: np.ndarray, f: np.ndarray,
@@ -233,10 +261,12 @@ def phase_solve(u: np.ndarray, w: np.ndarray, f: np.ndarray,
                 config: SystemConfig, eps: float = MM_EPS,
                 n_max: int = MM_MAX_ITER
                 ) -> tuple[np.ndarray, list[PhaseIterate]]:
-    """MM iteration over priced subproblems.
+    """SQUAREM-accelerated MM over priced subproblems, at most n_max maps.
 
     phi_init must be unit-modulus and satisfy the true harvest constraint;
-    every iterate then remains feasible and f(phi) is non-increasing.
+    every iterate then remains feasible and f(phi) is non-increasing.  The
+    trajectory holds phi_init and one entry per MM map; the loop stops when
+    f changes by at most eps relative over one map.
     """
     phi = np.asarray(phi_init, dtype=complex)
     data = assemble_phase_qcqp(u, w, f, channels, config)
@@ -252,12 +282,29 @@ def phase_solve(u: np.ndarray, w: np.ndarray, f: np.ndarray,
     if trajectory[0].harvest < config.eh_threshold * (1.0 - 1e-6):
         raise ValueError("phi_init violates the harvest constraint")
 
-    for _ in range(n_max):
-        phi, _ = price_bisection(state, data)
-        state = mm_prepare(data, phi)
-        trajectory.append(PhaseIterate(state.objective,
-                                       state.reflected + data.direct_harvest))
-        f_prev, f_new = trajectory[-2].objective, state.objective
-        if abs(f_new - f_prev) <= eps * max(abs(f_new), 1e-30):
+    def mm_map(start: MmState) -> tuple[MmState, bool]:
+        """T(start), recorded; True once f has settled or n_max maps ran."""
+        nxt = mm_prepare(data, price_bisection(start, data)[0])
+        f_prev, f_new = trajectory[-1].objective, nxt.objective
+        trajectory.append(PhaseIterate(f_new,
+                                       nxt.reflected + data.direct_harvest))
+        return nxt, (len(trajectory) > n_max
+                     or abs(f_new - f_prev) <= eps * max(abs(f_new), 1e-30))
+
+    done = n_max < 1
+    while not done:
+        start = state
+        state, done = mm_map(start)
+        if done:
             break
-    return phi, trajectory
+        mid = state
+        state, done = mm_map(mid)
+        if done:
+            break
+        phi_x = _squarem_point(start.anchor, mid.anchor, state.anchor)
+        if phi_x is not None:
+            jump = mm_prepare(data, phi_x)
+            if (jump.reflected >= data.q_resid
+                    and jump.objective <= state.objective):
+                state, done = mm_map(jump)
+    return state.anchor, trajectory

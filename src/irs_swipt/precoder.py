@@ -49,7 +49,8 @@ def _anchor_fields(g: np.ndarray, basis: np.ndarray, lin_proj: np.ndarray,
     gfa = np.einsum("ij,kjd->kid", g, f_anchor)
     gfa_proj = np.einsum("ij,kjd->kid", herm(basis), gfa)
     x = np.stack((lin_proj, gfa_proj))
-    gram = np.real(np.einsum("xkid,ykid->xyi", x.conj(), x))  # per eigenvalue
+    # per eigenvalue; copied so that each sum is a contiguous (N_B,) array
+    gram = np.ascontiguousarray(np.einsum("xkid,ykid->xyi", x.conj(), x).real)
     scale = np.linalg.norm(g) * np.sqrt(max(frob_sq(f_anchor), 1e-300))
     return dict(f_anchor=f_anchor, gfa=gfa, gfa_proj=gfa_proj,
                 q_tilde=eh_threshold + float(np.real(np.vdot(f_anchor, gfa))),
@@ -149,6 +150,8 @@ def compute_mu(lam: float, data: QuadraticData) -> float:
 def power_of_lambda(lam: float, data: QuadraticData) -> float:
     """Transmit power of the mu-adjusted closed-form solution at lambda."""
     inv, mu = _probe(lam, data)
+    if mu == 0.0:
+        return float(inv ** 2 @ data.s_ll)
     return float(inv ** 2 @ (data.s_ll + 2.0 * mu * data.s_lg
                              + mu ** 2 * data.s_gg))
 

@@ -12,7 +12,8 @@ from irs_swipt import (ChannelSet, SystemConfig, effective_channels,
                        mmse_refresh)
 from irs_swipt.linalg import (herm, hermitian_solve, hermitianize,
                               inverse_logdet_pd)
-from irs_swipt.phase import MmState
+from irs_swipt.phase import (MmState, PhaseIterate, PhaseQcqpData,
+                             assemble_phase_qcqp, mm_prepare, price_bisection)
 
 
 def crandn(rng, *shape, scale=1.0):
@@ -188,6 +189,36 @@ def mm_prepare_two_projections(data, phi_anchor):
         w=data.g.conj() + data.upsilon_factor @ y_proj,
         objective=_form_value_one(x_proj, phi_anchor, data.v),
         reflected=_form_value_one(y_proj, phi_anchor, data.g))
+
+
+def phase_data(x, y, v, g, q_resid=0.0, lam_max=0.0, direct_harvest=0.0):
+    """PhaseQcqpData from separate Xi and Upsilon factors X and Y."""
+    return PhaseQcqpData(factors=np.concatenate((x, y), axis=1),
+                         r=x.shape[1], v=v, g=g, q_resid=q_resid,
+                         lam_max=lam_max, direct_harvest=direct_harvest)
+
+
+def phase_solve_plain(u, w, f, channels, phi_init, config, eps=1e-6,
+                      n_max=200):
+    """The phase block as plain MM: one map price_bisection(mm_prepare(phi))
+    per step, stopped when f changes by at most eps relative or after n_max
+    maps.  The reference for phase.phase_solve's SQUAREM loop (it uses the
+    library's map, so the two differ only in how they sequence it); returns
+    (phi, trajectory) as phase_solve does."""
+    data = assemble_phase_qcqp(u, w, f, channels, config)
+    phi = np.asarray(phi_init, dtype=complex)
+    state = mm_prepare(data, phi)
+    trajectory = [PhaseIterate(state.objective,
+                               state.reflected + data.direct_harvest)]
+    for _ in range(n_max):
+        phi, _ = price_bisection(state, data)
+        state = mm_prepare(data, phi)
+        trajectory.append(PhaseIterate(state.objective,
+                                       state.reflected + data.direct_harvest))
+        f_prev, f_new = trajectory[-2].objective, state.objective
+        if abs(f_new - f_prev) <= eps * max(abs(f_new), 1e-30):
+            break
+    return phi, trajectory
 
 
 def waterfill_capacity(hbar, sigma2, p_total):

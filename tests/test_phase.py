@@ -1,19 +1,25 @@
 import tracemalloc
 from dataclasses import replace
+from statistics import mean
 
 import numpy as np
 import pytest
 
-from irs_swipt import (assemble_phase_qcqp, effective_channels, eh_slack,
-                       harvested_power, mm_prepare, phase_closed_form,
-                       phase_solve, price_bisection, wmmse_objective)
+import irs_swipt.phase as phase_module
+from irs_swipt import (Geometry, SystemConfig, assemble_phase_qcqp,
+                       effective_channels, eh_slack, feasibility_check,
+                       generate_scenario, harvested_power, mm_prepare,
+                       mmse_refresh, phase_closed_form, phase_solve,
+                       price_bisection, sca_precoder_solve, wmmse_objective)
+from irs_swipt.feasibility import spread_streams
 from irs_swipt.errors import InfeasibleSubproblemError
 from irs_swipt.linalg import herm
-from irs_swipt.phase import (PhaseQcqpData, phase_objective, reflect_harvest,
+from irs_swipt.phase import (MM_EPS, phase_objective, reflect_harvest,
                              true_harvest)
 
-from helpers import (bench_config, crandn, dense_form, dense_phase_forms,
-                     mm_prepare_two_projections, phase_grid_best, unit_phases,
+from helpers import (bench_config, count_calls, crandn, dense_form,
+                     dense_phase_forms, mm_prepare_two_projections, phase_data,
+                     phase_grid_best, phase_solve_plain, unit_phases,
                      wmmse_state)
 
 
@@ -21,10 +27,9 @@ def make_phase_data(rng, m, psd_scale=1.0, q_resid=0.0):
     """Hand-built PhaseQcqpData with random PSD quadratics."""
     x = crandn(rng, m, m) * np.sqrt(psd_scale / m)
     y = crandn(rng, m, m) * np.sqrt(psd_scale / m)
-    return PhaseQcqpData(
-        xi_factor=x, upsilon_factor=y, v=crandn(rng, m), g=crandn(rng, m),
-        q_resid=q_resid, lam_max=float(np.linalg.eigvalsh(dense_form(x))[-1]),
-        direct_harvest=0.0, obj_const=0.0)
+    return phase_data(
+        x, y, v=crandn(rng, m), g=crandn(rng, m), q_resid=q_resid,
+        lam_max=float(np.linalg.eigvalsh(dense_form(x))[-1]))
 
 
 def full_state(rng, cfg=None):
@@ -55,8 +60,7 @@ class TestAssembly:
         cfg = bench_config(k_i=3, n_er=3, d=d, m=m,
                            rate_weights=(0.4, 1.3, 2.2), eh_weights=(0.7, 1.9))
         _, ch, _, f, u, w, data = full_state(rng, cfg)
-        xi, upsilon, v, g, direct, obj_const = dense_phase_forms(u, w, f, ch,
-                                                                 cfg)
+        xi, upsilon, v, g, direct, _ = dense_phase_forms(u, w, f, ch, cfg)
 
         def close(a, b):
             return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
@@ -66,12 +70,12 @@ class TestAssembly:
         assert close(data.v, v)
         assert close(data.g, g)
         assert close(data.direct_harvest, direct)
-        assert close(data.obj_const, obj_const)
         assert close(data.lam_max, np.linalg.eigvalsh(xi)[-1])
 
     def test_objective_identity_against_matrix_form(self):
         rng = np.random.default_rng(1)
         cfg, ch, phi, f, u, w, data = full_state(rng)
+        obj_const = dense_phase_forms(u, w, f, ch, cfg)[5]
         f_tilde = sum(f[k] @ herm(f[k]) for k in range(cfg.n_irs))
         for _ in range(5):
             test_phi = unit_phases(rng, cfg.n_elements)
@@ -84,7 +88,7 @@ class TestAssembly:
                     np.trace(uwu @ eff.hbar[k] @ f_tilde @ herm(eff.hbar[k])))
                 direct -= 2.0 * om * np.real(
                     np.trace(w[k] @ herm(u[k]) @ eff.hbar[k] @ f[k]))
-            value = phase_objective(test_phi, data) + data.obj_const
+            value = phase_objective(test_phi, data) + obj_const
             assert abs(value - direct) < 1e-9 * max(1.0, abs(direct))
 
     def test_harvest_identity_against_metrics(self):
@@ -125,12 +129,9 @@ class TestMmPrepare:
         rng = np.random.default_rng(4)
         m = 5
         data = make_phase_data(rng, m)
-        iso = PhaseQcqpData(xi_factor=np.sqrt(data.lam_max)
-                            * np.eye(m, dtype=complex),
-                            upsilon_factor=data.upsilon_factor, v=data.v,
-                            g=data.g,
-                            q_resid=0.0, lam_max=data.lam_max,
-                            direct_harvest=0.0, obj_const=0.0)
+        iso = phase_data(np.sqrt(data.lam_max) * np.eye(m, dtype=complex),
+                         data.upsilon_factor, v=data.v, g=data.g,
+                         lam_max=data.lam_max)
         state = mm_prepare(iso, unit_phases(rng, m))
         np.testing.assert_allclose(state.q, -iso.v.conj(), atol=1e-12)
 
@@ -192,26 +193,22 @@ class TestMmPrepare:
 class TestClosedForm:
     def test_extracts_phases(self):
         data = make_phase_data(np.random.default_rng(7), 2)
-        zero = PhaseQcqpData(xi_factor=data.xi_factor,
-                             upsilon_factor=np.zeros((2, 0), complex),
-                             v=data.v, g=np.zeros(2, complex), q_resid=0.0,
-                             lam_max=data.lam_max, direct_harvest=0.0,
-                             obj_const=0.0)
+        zero = phase_data(data.xi_factor, np.zeros((2, 0), complex),
+                          v=data.v, g=np.zeros(2, complex),
+                          lam_max=data.lam_max)
         state = replace(mm_prepare(zero, np.ones(2, dtype=complex)),
                         q=np.array([1.0, 1j]))
-        np.testing.assert_allclose(phase_closed_form(0.0, state, zero),
+        np.testing.assert_allclose(phase_closed_form(0.0, state),
                                    [1.0, 1j], atol=1e-15)
 
     def test_zero_entry_maps_to_one(self):
         data = make_phase_data(np.random.default_rng(8), 3)
-        zero = PhaseQcqpData(xi_factor=data.xi_factor,
-                             upsilon_factor=np.zeros((3, 0), complex),
-                             v=data.v, g=np.zeros(3, complex), q_resid=0.0,
-                             lam_max=data.lam_max, direct_harvest=0.0,
-                             obj_const=0.0)
+        zero = phase_data(data.xi_factor, np.zeros((3, 0), complex),
+                          v=data.v, g=np.zeros(3, complex),
+                          lam_max=data.lam_max)
         state = replace(mm_prepare(zero, np.ones(3, dtype=complex)),
                         q=np.array([0.0, 2.0, -1j]))
-        phi = phase_closed_form(0.0, state, zero)
+        phi = phase_closed_form(0.0, state)
         assert phi[0] == 1.0 + 0j
 
     def test_alignment_beats_random_candidates(self):
@@ -223,7 +220,7 @@ class TestClosedForm:
         p = 0.7
         w = data.g.conj() + dense_form(data.upsilon_factor) @ anchor
         target = state.q + p * w
-        phi_star = phase_closed_form(p, state, data)
+        phi_star = phase_closed_form(p, state)
         best = 2.0 * np.real(np.vdot(phi_star, target))
         for _ in range(10000):
             cand = unit_phases(rng, m)
@@ -245,11 +242,9 @@ class TestEhSlack:
         rng = np.random.default_rng(10)
         m = 4
         base = make_phase_data(rng, m)
-        data = PhaseQcqpData(xi_factor=base.xi_factor,
-                             upsilon_factor=np.zeros((m, 0), complex),
-                             v=base.v, g=np.zeros(m, complex), q_resid=0.0,
-                             lam_max=base.lam_max, direct_harvest=0.0,
-                             obj_const=0.0)
+        data = phase_data(base.xi_factor, np.zeros((m, 0), complex),
+                          v=base.v, g=np.zeros(m, complex),
+                          lam_max=base.lam_max)
         state = mm_prepare(data, unit_phases(rng, m))
         for p in (0.0, 1.0, 100.0):
             assert eh_slack(p, state, data) == 0.0
@@ -432,3 +427,88 @@ class TestPhaseSolve:
             nu = max(0.0, float(np.dot(c0, c1) / max(np.dot(c1, c1), 1e-300)))
         residual = np.linalg.norm(c0 - nu * c1)
         assert residual < 1e-5 * max(1.0, np.linalg.norm(grad))
+
+
+def first_phase_block(seed, m=40):
+    """(U, W, F, channels, phi, config) as the first phase block of a
+    default-config solve sees them: the feasibility check's start, one
+    MMSE refresh and one precoder solve, at M elements, ER 4 m and IR 100 m
+    from the BS.  There the block starts at harvest-maximizing phases,
+    where plain MM crawls."""
+    cfg = SystemConfig(n_elements=m)
+    ch = generate_scenario(cfg, Geometry(er_center=4.0, ir_center=100.0), seed)
+    feasible, f, phi, _, eff = feasibility_check(ch, cfg,
+                                                 return_channels=True)
+    assert feasible
+    f = spread_streams(f, ch, cfg, phi, eff=eff)
+    u, w, _ = mmse_refresh(f, eff, cfg)
+    f, _ = sca_precoder_solve(u, w, eff, f, cfg)
+    return u, w, f, ch, phi, cfg
+
+
+class TestSquarem:
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 7])
+    def test_every_map_counts_against_the_budget(self, monkeypatch, n_max):
+        u, w, f, ch, phi, cfg = first_phase_block(1)
+        maps = count_calls(monkeypatch, phase_module, "price_bisection")
+        _, traj = phase_solve(u, w, f, ch, phi, cfg, eps=0.0, n_max=n_max)
+        assert len(traj) - 1 == len(maps)
+        assert len(traj) - 1 <= n_max
+        # no extrapolation happens before two maps: those are plain MM's
+        _, plain = phase_solve_plain(u, w, f, ch, phi, cfg, eps=0.0, n_max=2)
+        assert traj[:3] == plain[:len(traj)]
+
+    def test_rejected_extrapolation_keeps_the_plain_map(self, monkeypatch):
+        # Offer the minimizer of f without the harvest constraint as every
+        # extrapolated point, with the threshold set halfway between its
+        # harvest and the start's.  Where f is lower there than after two
+        # maps, only the harvest guard can turn it down, and then the
+        # accelerated loop must be the plain one map for map.
+        n_max, checked = 7, 0
+        for seed in range(20):
+            rng = np.random.default_rng(700 + seed)
+            cfg = bench_config(m=8)
+            ch, phi, f, u, w = wmmse_state(rng, cfg)
+            data = assemble_phase_qcqp(u, w, f, ch, cfg)
+            free, _ = phase_solve_plain(u, w, f, ch, phi, cfg, eps=0.0,
+                                        n_max=1000)
+            q_free, q_start = true_harvest(free, data), true_harvest(phi, data)
+            if q_free >= q_start:
+                continue
+            cfg_q = bench_config(m=8, qbar=0.5 * (q_free + q_start))
+            _, plain = phase_solve_plain(u, w, f, ch, phi, cfg_q, eps=0.0,
+                                         n_max=n_max)
+            if phase_objective(free, data) > plain[2].objective:
+                continue
+            offered = []
+
+            def bad_point(*anchors):
+                offered.append(anchors)
+                return free
+
+            monkeypatch.setattr(phase_module, "_squarem_point", bad_point)
+            phi_out, traj = phase_solve(u, w, f, ch, phi, cfg_q, eps=0.0,
+                                        n_max=n_max)
+            monkeypatch.undo()
+            assert len(offered) == 3
+            assert traj == plain
+            for it in traj:
+                assert it.harvest >= cfg_q.eh_threshold * (1.0 - 1e-6)
+            assert np.max(np.abs(np.abs(phi_out) - 1.0)) < 1e-12
+            checked += 1
+        assert checked >= 3
+
+    def test_reaches_the_plain_optimum_in_fewer_maps(self):
+        # The value plain MM reaches within 5,000 maps (or at its own stop),
+        # to the stop rule's relative resolution; the maps each loop needs
+        # to get there, on seeds fixed in advance.
+        n_plain, n_fast = [], []
+        for seed in (1, 2, 3, 4, 5, 6):
+            u, w, f, ch, phi, cfg = first_phase_block(seed)
+            _, plain = phase_solve_plain(u, w, f, ch, phi, cfg, n_max=5000)
+            target = plain[-1].objective + MM_EPS * abs(plain[-1].objective)
+            _, fast = phase_solve(u, w, f, ch, phi, cfg, n_max=5000)
+            for traj, counts in ((plain, n_plain), (fast, n_fast)):
+                counts.append(next((i for i, it in enumerate(traj)
+                                    if it.objective <= target), np.inf))
+        assert mean(n_fast) < mean(n_plain)
