@@ -8,7 +8,8 @@ import numpy as np
 
 from irs_swipt import (Geometry, SystemConfig, effective_channels,
                        generate_scenario, harvested_power, path_loss_linear,
-                       total_power, user_rate, weighted_sum_rate)
+                       user_rate, weighted_sum_rate)
+from irs_swipt.linalg import frob_sq
 
 config = SystemConfig(n_elements=32)
 geometry = Geometry(er_center=5.0, ir_center=100.0)
@@ -38,7 +39,7 @@ rng = np.random.default_rng(0)
 f = (rng.standard_normal((config.n_irs, config.n_bs_antennas, config.n_streams))
      + 1j * rng.standard_normal((config.n_irs, config.n_bs_antennas,
                                  config.n_streams)))
-f *= np.sqrt(config.power_budget / total_power(f))
+f *= np.sqrt(config.power_budget / frob_sq(f))
 phi = np.ones(config.n_elements, dtype=complex)
 
 eff = effective_channels(channels, phi, config)

@@ -6,8 +6,9 @@ import numpy as np
 
 from irs_swipt import (Geometry, SystemConfig, bcd_solve, effective_channels,
                        feasibility_check, generate_scenario,
-                       harvested_power_quadratic, total_power)
+                       harvested_power_quadratic)
 from irs_swipt.feasibility import spread_streams
+from irs_swipt.linalg import frob_sq
 
 config = SystemConfig(n_elements=40)
 geometry = Geometry(er_center=5.0, ir_center=100.0)
@@ -30,7 +31,7 @@ for (it, wsr), p, q in zip(report.wsr_trajectory, report.power_trajectory,
     print(f"{it:5d}   {wsr:14.4f}   {p:9.4f}   {q:.4e}")
 
 eff = effective_channels(channels, report.phi, config)
-print(f"\nfinal transmit power {total_power(report.f):.4f} of "
+print(f"\nfinal transmit power {frob_sq(report.f):.4f} of "
       f"{config.power_budget} W")
 print(f"final harvest {harvested_power_quadratic(report.f, eff.g):.4e} W")
 print(f"phase vector magnitudes all 1: "

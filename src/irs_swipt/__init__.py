@@ -8,29 +8,35 @@ The library splits into:
     phase        MM + a bracketed price search for the unit-modulus phases
     bcd          the outer block-coordinate-descent loop
     feasibility  harvest maximization and the feasible initializer
-    harness      Monte-Carlo sweeps, baselines, CSV/JSON output
+    harness      Monte-Carlo sweeps over the joint solve and its baselines,
+                 CSV/JSON output
+
+The package namespace holds what a script needs to build a scenario, solve
+it, score it and run a sweep.  The blocks' internals (the precoder dual,
+the phase MM, the MMSE refresh, the exception subclasses) are imported from
+their own modules.
 """
 
-from .bcd import SolveReport, bcd_solve, mmse_refresh
-from .errors import (BracketError, ConditioningError, InfeasibleDirectionError,
-                     InfeasibleSubproblemError, SolverError)
-from .feasibility import feasibility_check, max_eh_phase_step, max_eh_precoder
+from .bcd import SolveReport, bcd_solve
+from .errors import SolverError
+from .feasibility import feasibility_check
 from .harness import (ExperimentSpec, TrialResult, emit_results,
-                      load_experiment_spec, run_experiment, run_no_irs,
-                      solve_with_init, summarize)
-from .metrics import (EffectiveChannels, effective_channels, harvested_power,
-                      harvested_power_quadratic, mse_matrix, total_power,
-                      user_rate, weighted_sum_rate, wmmse_objective)
-from .phase import (MmState, PhaseQcqpData, assemble_phase_qcqp, eh_slack,
-                    mm_prepare, phase_closed_form, phase_solve,
-                    price_bisection)
-from .precoder import (QuadraticData, build_quadratic, compute_mu,
-                       dual_bisection, power_of_lambda, precoder_closed_form,
-                       sca_precoder_solve)
-from .scenario import (ChannelSet, Geometry, SystemConfig, generate_scenario,
-                       load_scenario, path_loss_linear, rician_channel,
-                       steering_vector)
+                      load_experiment_spec, run_experiment, solve_with_init,
+                      summarize)
+from .metrics import (effective_channels, harvested_power,
+                      harvested_power_quadratic, user_rate, weighted_sum_rate)
+from .scenario import (Geometry, SystemConfig, generate_scenario,
+                       load_scenario, path_loss_linear)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "SystemConfig", "Geometry", "generate_scenario", "load_scenario",
+    "path_loss_linear",
+    "effective_channels", "weighted_sum_rate", "user_rate", "harvested_power",
+    "harvested_power_quadratic",
+    "feasibility_check", "bcd_solve", "solve_with_init", "SolveReport",
+    "SolverError",
+    "ExperimentSpec", "TrialResult", "run_experiment", "summarize",
+    "emit_results", "load_experiment_spec",
+]

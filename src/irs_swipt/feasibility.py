@@ -60,7 +60,7 @@ def max_eh_phase_step(f: np.ndarray, eff: EffectiveChannels,
 
 
 def spread_streams(f: np.ndarray, channels: ChannelSet, config: SystemConfig,
-                   phi: np.ndarray, mix: float = 1.0, *,
+                   phi: np.ndarray, *,
                    eff: EffectiveChannels | None = None) -> np.ndarray:
     """Move power into the zero stream columns of an energy-beamforming
     precoder, aiming for an equal split across streams.
@@ -69,9 +69,10 @@ def spread_streams(f: np.ndarray, channels: ChannelSet, config: SystemConfig,
     precoder columns, so starting the joint solver from the rank-one harvest
     maximizer would pin every user to a single stream.  Mixing in orthogonal
     directions (backing off whenever the harvest constraint would break)
-    unlocks the remaining streams without losing feasibility; a full-strength
-    mix also converges measurably faster than a faint perturbation, which
-    leaves the solver crawling out of the near-rank-one saddle.  eff, if
+    unlocks the remaining streams without losing feasibility.  The mix
+    starts at full strength and backs off by quarters: a full-strength mix
+    converges measurably faster than a faint perturbation, which leaves the
+    solver crawling out of the near-rank-one saddle.  eff, if
     given, is the effective channels already built at phi.
     """
     d = config.n_streams
@@ -95,7 +96,7 @@ def spread_streams(f: np.ndarray, channels: ChannelSet, config: SystemConfig,
                     out[k, :, j] = np.sqrt(delta * col_power) * q_basis[:, j]
         return out * np.sqrt(power / frob_sq(out))
 
-    delta = mix
+    delta = 1.0
     while delta > 1e-12:
         candidate = mixed(delta)
         if harvested_power_quadratic(candidate, eff.g) >= qbar:
@@ -104,11 +105,10 @@ def spread_streams(f: np.ndarray, channels: ChannelSet, config: SystemConfig,
     return f
 
 
-def feasibility_check(channels: ChannelSet, config: SystemConfig,
-                      n_max: int = FEAS_MAX_ITER, *,
+def feasibility_check(channels: ChannelSet, config: SystemConfig, *,
                       return_channels: bool = False) -> tuple:
     """Alternate energy beamforming and phase ascent until the harvest
-    threshold is reached or progress stalls.
+    threshold is reached, progress stalls, or FEAS_MAX_ITER steps ran.
 
     Returns (feasible, F, phi, Q_achieved); when feasible, (F, phi) is a
     valid starting point for the joint solver.  return_channels=True
@@ -120,7 +120,8 @@ def feasibility_check(channels: ChannelSet, config: SystemConfig,
     eff = effective_channels(channels, phi, config)
     f, q = max_eh_precoder(eff, config)
     best = (q >= qbar, f, phi, q, eff)
-    for _ in range(0 if q >= qbar or config.n_elements == 0 else n_max):
+    for _ in range(0 if q >= qbar or config.n_elements == 0
+                   else FEAS_MAX_ITER):
         phi = max_eh_phase_step(f, eff, channels, config)
         eff = effective_channels(channels, phi, config)
         f, q_new = max_eh_precoder(eff, config)

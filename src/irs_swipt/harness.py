@@ -2,9 +2,12 @@
 
 An experiment sweeps one scenario parameter over a list of values, runs a
 number of independent trials per value for each requested method, and
-collects one TrialResult per (value, trial, method).  Trials infeasible for
-the harvest threshold score a weighted sum rate of zero.  Per-trial seeds
-are derived from a stable hash so results reproduce across runs, platforms,
+collects one TrialResult per (value, trial, method).  The methods are the
+joint solve ("bcd") and its baselines: "fixed-phase" keeps the phases of
+the feasibility check, "no-irs" zeroes every IRS link; the harvest sweep
+runs the feasibility alternation instead.  Trials infeasible for the
+harvest threshold score a weighted sum rate of zero.  Per-trial seeds are
+derived from a stable hash so results reproduce across runs, platforms,
 and worker counts.
 """
 
@@ -16,11 +19,10 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 from typing import TextIO
 
-from .bcd import SolveReport, bcd_solve
+from .bcd import BCD_MAX_ITER, SolveReport, bcd_solve
 from .errors import SolverError
 from .feasibility import feasibility_check, spread_streams
 from .scenario import ChannelSet, Geometry, SystemConfig, generate_scenario
@@ -138,7 +140,7 @@ def apply_sweep(experiment: str, config: SystemConfig, geometry: Geometry,
 
 
 def solve_with_init(channels: ChannelSet, config: SystemConfig,
-                    eps: float = 1e-4, n_max: int = 50,
+                    n_max: int = BCD_MAX_ITER,
                     optimize_phase: bool = True) -> SolveReport:
     """Feasibility check followed by the full joint solve.
 
@@ -151,21 +153,13 @@ def solve_with_init(channels: ChannelSet, config: SystemConfig,
         return SolveReport(wsr_trajectory=[(0, 0.0)], f=f0, phi=phi0,
                            feasible=False, iterations_used=0)
     f0 = spread_streams(f0, channels, config, phi0, eff=eff0)
-    return bcd_solve(channels, config, (f0, phi0), eps=eps, n_max=n_max,
+    return bcd_solve(channels, config, (f0, phi0), n_max=n_max,
                      optimize_phase=optimize_phase, eff=eff0)
 
 
-def run_no_irs(channels: ChannelSet, config: SystemConfig,
-               eps: float = 1e-4, n_max: int = 50) -> SolveReport:
-    """Baseline without the IRS: reflected links zeroed, phase block inert."""
-    return solve_with_init(channels.without_irs(), config, eps=eps, n_max=n_max)
-
-
-def _max_harvest(channels: ChannelSet, config: SystemConfig,
-                 with_irs: bool) -> tuple[bool, float]:
+def _max_harvest(channels: ChannelSet,
+                 config: SystemConfig) -> tuple[bool, float]:
     """Best weighted harvest found by the alternation, run to its stall point."""
-    if not with_irs:
-        channels = channels.without_irs()
     unreachable = replace(config, eh_threshold=float("inf"))
     _, _, _, q = feasibility_check(channels, unreachable)
     return q >= config.eh_threshold, q
@@ -181,15 +175,15 @@ def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int,
     t0 = time.perf_counter()
     channels = generate_scenario(config, geometry, seed)
 
+    if method == "no-irs":
+        channels = channels.without_irs()
     if spec.experiment == HARVEST_ONLY:
-        feasible, q = _max_harvest(channels, config, with_irs=(method != "no-irs"))
+        feasible, q = _max_harvest(channels, config)
         wsr, iters = 0.0, 0
     else:
-        runner = {"bcd": solve_with_init,
-                  "fixed-phase": partial(solve_with_init, optimize_phase=False),
-                  "no-irs": run_no_irs}[method]
         try:
-            report = runner(channels, config)
+            report = solve_with_init(channels, config,
+                                     optimize_phase=method != "fixed-phase")
             feasible = report.feasible
             wsr = report.wsr_bits if feasible else 0.0
             iters = report.iterations_used
@@ -290,7 +284,11 @@ def _write_results(results: list[TrialResult], format: str, fh: TextIO,
 
 
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:
-    """Read an experiment spec file (JSON, keys matching ExperimentSpec)."""
+    """Read an experiment spec file (JSON, keys matching ExperimentSpec);
+    a missing or unknown key or a mistyped value raises ValueError."""
     with open(path) as fh:
         raw = json.load(fh)
-    return ExperimentSpec.from_dict(raw)
+    try:
+        return ExperimentSpec.from_dict(raw)
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"malformed experiment spec {path}: {exc!r}") from exc

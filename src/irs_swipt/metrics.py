@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frob_sq, herm, hermitianize, logdet_pd
+from .linalg import herm, hermitianize, logdet_pd
 from .scenario import ChannelSet, SystemConfig
 
 LN2 = float(np.log(2.0))
@@ -150,8 +150,3 @@ def wmmse_objective(w: np.ndarray, u: np.ndarray, f: np.ndarray,
         total += config.rate_weights[k] * (
             logdet_w - float(np.real(np.trace(w[k] @ e_k))) + d)
     return total
-
-
-def total_power(f: np.ndarray) -> float:
-    """Transmit power sum_k ||F_k||_F^2."""
-    return frob_sq(f)

@@ -193,14 +193,10 @@ def phase_closed_form(p: float, state: MmState) -> np.ndarray:
     return unit_phase(state.q + p * state.w)
 
 
-def _slack(phi: np.ndarray, state: MmState) -> float:
-    """2 Re{phi^H w}, the left side of the linearized harvest bound."""
-    return 2.0 * float(np.vdot(phi, state.w).real)
-
-
-def eh_slack(p: float, state: MmState, data: PhaseQcqpData) -> float:
-    """J(p) = 2 Re{phi(p)^H (g* + Upsilon anchor)}, non-decreasing in p."""
-    return _slack(phase_closed_form(p, state), state)
+def eh_slack(p: float, state: MmState) -> float:
+    """J(p) = 2 Re{phi(p)^H (g* + Upsilon anchor)}, the left side of the
+    linearized harvest bound at the priced optimum; non-decreasing in p."""
+    return 2.0 * float(np.vdot(phase_closed_form(p, state), state.w).real)
 
 
 def price_bisection(state: MmState,
@@ -217,7 +213,7 @@ def price_bisection(state: MmState,
     """
     q_hat = state.q_hat
     phi0 = unit_phase(state.q)
-    j0 = _slack(phi0, state)
+    j0 = 2.0 * float(np.vdot(phi0, state.w).real)     # eh_slack(0), reusing phi0
     if j0 >= q_hat or reflect_harvest(phi0, data) >= data.q_resid:
         return phi0, 0.0
 
@@ -237,8 +233,7 @@ def price_bisection(state: MmState,
                    key=lambda phi: float(np.real(np.vdot(phi, state.q))))
         return best, float(2 ** MAX_DOUBLINGS)
 
-    p = _bracketed_root(lambda x: q_hat - eh_slack(x, state, data),
-                        q_hat - j0)
+    p = _bracketed_root(lambda x: q_hat - eh_slack(x, state), q_hat - j0)
     return phase_closed_form(p, state), p
 
 

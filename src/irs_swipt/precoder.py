@@ -121,7 +121,9 @@ def _shift_inverse(lam: float, data: QuadraticData) -> np.ndarray:
 
 
 def _probe(lam: float, data: QuadraticData) -> tuple[np.ndarray, float]:
-    """(A + lambda I)^+ diagonal and the harvest multiplier at lambda."""
+    """(A + lambda I)^+ diagonal and the harvest multiplier at lambda: zero
+    if the mu = 0 solution already meets the linearized constraint,
+    otherwise the value that makes it tight."""
     inv = _shift_inverse(lam, data)
     c0 = 2.0 * float(inv @ data.s_lg)
     if c0 >= data.q_tilde:
@@ -139,12 +141,6 @@ def precoder_closed_form(lam: float, mu: float,
     inv = _shift_inverse(lam, data)
     rhs = data.lin_proj + mu * data.gfa_proj
     return np.einsum("ij,kjd->kid", data.basis, inv[None, :, None] * rhs)
-
-
-def compute_mu(lam: float, data: QuadraticData) -> float:
-    """Harvest multiplier: zero if the mu = 0 solution already meets the
-    linearized constraint, otherwise the value that makes it tight."""
-    return _probe(lam, data)[1]
 
 
 def power_of_lambda(lam: float, data: QuadraticData) -> float:
@@ -169,7 +165,7 @@ def dual_bisection(data: QuadraticData, p_t: float
     lam = 0.0 if p0 <= p_t else _bracketed_root(
         lambda x: power_of_lambda(x, data) - p_t, p0 - p_t,
         slack_tol=ROOT_EPS * p_t)
-    mu = compute_mu(lam, data)
+    mu = _probe(lam, data)[1]
     return precoder_closed_form(lam, mu, data), lam, mu
 
 

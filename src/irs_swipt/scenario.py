@@ -285,10 +285,14 @@ def generate_scenario(config: SystemConfig, geometry: Geometry,
 
 
 def load_scenario(path: str | Path) -> tuple[SystemConfig, Geometry, int]:
-    """Read a scenario file: JSON with "config", "geometry", optional "seed"."""
+    """Read a scenario file: JSON with "config", "geometry", optional "seed";
+    an unknown key or a mistyped value raises ValueError."""
     with open(path) as fh:
         raw = json.load(fh)
-    config = SystemConfig.from_dict(raw.get("config", {}))
-    geometry = Geometry.from_dict(raw.get("geometry", {}))
-    seed = int(raw.get("seed", 0))
+    try:
+        config = SystemConfig.from_dict(raw.get("config", {}))
+        geometry = Geometry.from_dict(raw.get("geometry", {}))
+        seed = int(raw.get("seed", 0))
+    except TypeError as exc:
+        raise ValueError(f"malformed scenario {path}: {exc!r}") from exc
     return config, geometry, seed

@@ -8,12 +8,13 @@ so that agreement with the production implementations is meaningful.
 
 import numpy as np
 
-from irs_swipt import (ChannelSet, SystemConfig, effective_channels,
-                       mmse_refresh)
+from irs_swipt import SystemConfig, effective_channels
+from irs_swipt.bcd import mmse_refresh
 from irs_swipt.linalg import (herm, hermitian_solve, hermitianize,
                               inverse_logdet_pd)
 from irs_swipt.phase import (MmState, PhaseIterate, PhaseQcqpData,
                              assemble_phase_qcqp, mm_prepare, price_bisection)
+from irs_swipt.scenario import ChannelSet
 
 
 def crandn(rng, *shape, scale=1.0):

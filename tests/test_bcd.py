@@ -3,14 +3,16 @@ import pytest
 
 import irs_swipt.bcd as bcd_module
 import irs_swipt.feasibility as feasibility_module
-from irs_swipt import (bcd_solve, effective_channels, feasibility_check,
-                       harvested_power_quadratic, mmse_refresh, phase_solve,
-                       sca_precoder_solve, solve_with_init, weighted_sum_rate,
-                       wmmse_objective)
-from irs_swipt.errors import ConditioningError, SolverError
+from irs_swipt import (SolverError, bcd_solve, effective_channels,
+                       feasibility_check, harvested_power_quadratic,
+                       solve_with_init, weighted_sum_rate)
+from irs_swipt.bcd import mmse_refresh
+from irs_swipt.errors import ConditioningError
 from irs_swipt.feasibility import spread_streams
 from irs_swipt.linalg import frob_sq, inverse_logdet_pd
-from irs_swipt.metrics import mse_matrix
+from irs_swipt.metrics import mse_matrix, wmmse_objective
+from irs_swipt.phase import phase_solve
+from irs_swipt.precoder import sca_precoder_solve
 
 from helpers import (bench_config, count_calls, crandn, mmse_refresh_loop,
                      random_channels, random_precoders, unit_phases,

@@ -89,6 +89,20 @@ class TestRunCommand:
     def test_missing_file_fails(self, capsys):
         assert main(["run", "/nonexistent/spec.json"]) == 2
 
+    def test_misspelled_key_fails_with_diagnostic(self, tmp_path, capsys):
+        doc = spec_doc()
+        doc["trails"] = doc.pop("trials")
+        spec = write(tmp_path, "typo.json", doc)
+        assert main(["run", spec]) == 2
+        assert "typo.json" in capsys.readouterr().err
+
+    def test_missing_sweep_fails_with_diagnostic(self, tmp_path, capsys):
+        doc = spec_doc()
+        del doc["sweep"]
+        spec = write(tmp_path, "nosweep.json", doc)
+        assert main(["run", spec]) == 2
+        assert "nosweep.json" in capsys.readouterr().err
+
 
 class TestScenarioCommands:
     def test_check_feasibility(self, tmp_path, capsys):
@@ -144,6 +158,20 @@ class TestScenarioCommands:
         scen = tmp_path / "broken.json"
         scen.write_text("{not json")
         assert main(["solve", str(scen)]) == 2
+
+    def test_misspelled_scenario_key_fails(self, tmp_path, capsys):
+        doc = scenario_doc()
+        doc["geometry"]["er_centre"] = doc["geometry"].pop("er_center")
+        scen = write(tmp_path, "typo.json", doc)
+        assert main(["check-feasibility", scen]) == 2
+        assert "typo.json" in capsys.readouterr().err
+
+    def test_string_element_count_fails(self, tmp_path, capsys):
+        doc = scenario_doc()
+        doc["config"]["n_elements"] = "4"
+        scen = write(tmp_path, "string.json", doc)
+        assert main(["solve", scen]) == 2
+        assert "string.json" in capsys.readouterr().err
 
 
 def test_entry_point_runs():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from irs_swipt import (assemble_phase_qcqp, effective_channels,
-                       feasibility_check, harvested_power_quadratic,
-                       max_eh_phase_step, max_eh_precoder)
+from irs_swipt import (effective_channels, feasibility_check,
+                       harvested_power_quadratic)
+from irs_swipt.feasibility import max_eh_phase_step, max_eh_precoder
 from irs_swipt.linalg import herm, unit_phase
 from irs_swipt.metrics import EffectiveChannels
+from irs_swipt.phase import assemble_phase_qcqp
 
 from helpers import bench_config, crandn, dense_form, harvest_gradient_fd, \
     random_channels, random_precoders, unit_phases, wmmse_state

@@ -1,12 +1,15 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from irs_swipt import (ChannelSet, ExperimentSpec, Geometry, SystemConfig,
-                       emit_results, feasibility_check, generate_scenario,
-                       run_experiment, run_no_irs, solve_with_init, summarize)
-from irs_swipt.harness import TrialResult, apply_sweep, derive_seed
+from irs_swipt import (ExperimentSpec, Geometry, SystemConfig, emit_results,
+                       feasibility_check, generate_scenario, run_experiment,
+                       solve_with_init, summarize)
+from irs_swipt.harness import (TrialResult, apply_sweep, derive_seed,
+                               run_trial)
+from irs_swipt.scenario import ChannelSet
 
 
 def quick_config(m=12, qbar=5e-5):
@@ -69,7 +72,7 @@ class TestBaselines:
     def test_no_irs_matches_zero_element_encoding(self):
         cfg = quick_config(m=10)
         ch = generate_scenario(cfg, quick_geometry(), seed=4)
-        report_zeroed = run_no_irs(ch, cfg)
+        report_zeroed = solve_with_init(ch.without_irs(), cfg)
 
         cfg0 = SystemConfig(n_elements=0, eh_threshold=cfg.eh_threshold)
         stripped = ChannelSet(
@@ -93,7 +96,8 @@ class TestBaselines:
             assert b >= a - 1e-9
 
     def test_no_irs_harvest_equals_direct_eigenvalue(self):
-        from irs_swipt import effective_channels, max_eh_precoder
+        from irs_swipt import effective_channels
+        from irs_swipt.feasibility import max_eh_precoder
         from irs_swipt.linalg import herm
         cfg = quick_config(m=10)
         ch = generate_scenario(cfg, quick_geometry(), seed=6)
@@ -107,7 +111,6 @@ class TestBaselines:
         assert q == pytest.approx(chi * cfg.power_budget, rel=1e-9)
 
     def test_gap_to_fixed_phase_narrows_near_feasibility_boundary(self):
-        from dataclasses import replace
         cfg0 = quick_config(m=16, qbar=2e-4)
         geom = quick_geometry()
         qmax = np.median([feasibility_check(
@@ -136,13 +139,44 @@ class TestBaselines:
             ch = generate_scenario(cfg, geom, seed)
             full = solve_with_init(ch, cfg)
             fixed = solve_with_init(ch, cfg, optimize_phase=False)
-            bare = run_no_irs(ch, cfg)
+            bare = solve_with_init(ch.without_irs(), cfg)
             wsr = full.wsr_bits if full.feasible else 0.0
             gains_no_irs.append(wsr - (bare.wsr_bits if bare.feasible else 0.0))
             gains_fixed.append(wsr - (fixed.wsr_bits if fixed.feasible else 0.0))
         assert np.mean(gains_no_irs) > 0.0
         assert np.mean(gains_fixed) >= 0.0
         assert np.mean([g >= -1e-6 for g in gains_fixed]) >= 0.9
+
+
+class TestRunTrial:
+    @pytest.mark.parametrize("experiment,value,method", [
+        ("wsr-vs-M", 8.0, "bcd"), ("wsr-vs-M", 8.0, "fixed-phase"),
+        ("wsr-vs-M", 8.0, "no-irs"),
+        ("max-harvest-vs-distance", 4.0, "bcd"),
+        ("max-harvest-vs-distance", 4.0, "no-irs")])
+    def test_matches_direct_solve(self, experiment, value, method):
+        """Each cell is the direct solve (or harvest maximization) on the
+        cell's seeded channels, with the IRS stripped for no-irs."""
+        spec = quick_spec(experiment=experiment, sweep=[value],
+                          methods=(method,))
+        cell = run_trial(spec, 0, 0, method)
+        config, geometry = apply_sweep(experiment, spec.config,
+                                       spec.geometry, spec.sweep[0])
+        ch = generate_scenario(config, geometry, cell.seed)
+        if method == "no-irs":
+            ch = ch.without_irs()
+        if experiment == "max-harvest-vs-distance":
+            q = feasibility_check(
+                ch, replace(config, eh_threshold=float("inf")))[3]
+            expected = (0.0, q, 0)
+        else:
+            report = solve_with_init(ch, config,
+                                     optimize_phase=method != "fixed-phase")
+            assert report.feasible
+            expected = (report.wsr_bits, report.harvest_trajectory[-1],
+                        report.iterations_used)
+        assert cell.feasible
+        assert (cell.wsr_bits, cell.q_watts, cell.iterations) == expected
 
 
 class TestRunExperiment:

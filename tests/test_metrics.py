@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from irs_swipt import (ChannelSet, SystemConfig, effective_channels,
-                       harvested_power, harvested_power_quadratic, mse_matrix,
-                       user_rate, weighted_sum_rate, wmmse_objective)
+from irs_swipt import (SystemConfig, effective_channels, harvested_power,
+                       harvested_power_quadratic, user_rate, weighted_sum_rate)
 from irs_swipt.linalg import herm
-from irs_swipt.metrics import LN2
+from irs_swipt.metrics import LN2, mse_matrix, wmmse_objective
+from irs_swipt.scenario import ChannelSet
 
 from helpers import (bench_config, crandn, effective_channel_direct,
                      harvest_direct, random_channels, random_precoders,

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 import irs_swipt.phase as phase_module
-from irs_swipt import (Geometry, SystemConfig, assemble_phase_qcqp,
-                       effective_channels, eh_slack, feasibility_check,
-                       generate_scenario, harvested_power, mm_prepare,
-                       mmse_refresh, phase_closed_form, phase_solve,
-                       price_bisection, sca_precoder_solve, wmmse_objective)
+from irs_swipt import (Geometry, SystemConfig, effective_channels,
+                       feasibility_check, generate_scenario, harvested_power)
+from irs_swipt.bcd import mmse_refresh
 from irs_swipt.feasibility import spread_streams
 from irs_swipt.errors import InfeasibleSubproblemError
 from irs_swipt.linalg import herm
-from irs_swipt.phase import (MM_EPS, phase_objective, reflect_harvest,
+from irs_swipt.metrics import wmmse_objective
+from irs_swipt.phase import (MM_EPS, assemble_phase_qcqp, eh_slack,
+                             mm_prepare, phase_closed_form, phase_objective,
+                             phase_solve, price_bisection, reflect_harvest,
                              true_harvest)
+from irs_swipt.precoder import sca_precoder_solve
 
 from helpers import (bench_config, count_calls, crandn, dense_form,
                      dense_phase_forms, mm_prepare_two_projections, phase_data,
@@ -234,7 +236,7 @@ class TestEhSlack:
             data = make_phase_data(rng, 5)
             state = mm_prepare(data, unit_phases(rng, 5))
             prices = np.logspace(-3, 4, 50)
-            vals = [eh_slack(p, state, data) for p in prices]
+            vals = [eh_slack(p, state) for p in prices]
             for a, b in zip(vals, vals[1:]):
                 assert b >= a - 1e-10 * max(1.0, abs(a))
 
@@ -247,7 +249,7 @@ class TestEhSlack:
                           lam_max=base.lam_max)
         state = mm_prepare(data, unit_phases(rng, m))
         for p in (0.0, 1.0, 100.0):
-            assert eh_slack(p, state, data) == 0.0
+            assert eh_slack(p, state) == 0.0
 
     def test_limit_is_sum_of_magnitudes(self):
         rng = np.random.default_rng(11)
@@ -255,7 +257,7 @@ class TestEhSlack:
         state = mm_prepare(data, unit_phases(rng, 6))
         w = data.g.conj() + dense_form(data.upsilon_factor) @ state.anchor
         limit = 2.0 * float(np.sum(np.abs(w)))
-        assert eh_slack(1e12, state, data) == pytest.approx(limit, rel=1e-9)
+        assert eh_slack(1e12, state) == pytest.approx(limit, rel=1e-9)
 
 
 class TestPriceBisection:
@@ -279,7 +281,7 @@ class TestPriceBisection:
             anchor = unit_phases(rng, 5)
             base = mm_prepare(data, anchor)
             w = data.g.conj() + dense_form(data.upsilon_factor) @ anchor
-            j0 = eh_slack(0.0, base, data)
+            j0 = eh_slack(0.0, base)
             if j0 >= -1e-9:
                 continue
             q_hat = 0.5 * j0    # negative, above J(0)
@@ -304,7 +306,7 @@ class TestPriceBisection:
             state = mm_prepare(data, anchor)
             # choose a bound between J(0) and the reachable limit, keeping
             # q_resid consistent so the true constraint matches the bound
-            j0 = eh_slack(0.0, state, data)
+            j0 = eh_slack(0.0, state)
             j_inf = 2.0 * float(np.sum(np.abs(
                 data.g.conj() + dense_form(data.upsilon_factor) @ anchor)))
             if j_inf <= j0 + 1e-9:
@@ -318,7 +320,7 @@ class TestPriceBisection:
             phi, p = price_bisection(state, data)
             if p > 0.0:
                 hits += 1
-                j_at = eh_slack(p, state, data)
+                j_at = eh_slack(p, state)
                 assert abs(j_at - q_hat) <= 1e-6 * max(1.0, abs(q_hat))
                 assert 2.0 * np.real(np.vdot(
                     phi, data.g.conj()
@@ -347,7 +349,7 @@ class TestPriceBisection:
             anchor = unit_phases(rng, 2)
             state = mm_prepare(data, anchor)
             w = data.g.conj() + dense_form(data.upsilon_factor) @ anchor
-            j0 = eh_slack(0.0, state, data)
+            j0 = eh_slack(0.0, state)
             j_inf = 2.0 * float(np.sum(np.abs(w)))
             q_hat = j0 + 0.7 * (j_inf - j0)
             state = replace(state, q_hat=q_hat)

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from irs_swipt import (build_quadratic, compute_mu, dual_bisection,
-                       effective_channels, harvested_power_quadratic,
-                       power_of_lambda, precoder_closed_form,
-                       sca_precoder_solve)
+from irs_swipt import effective_channels, harvested_power_quadratic
 from irs_swipt import precoder
 from irs_swipt.errors import InfeasibleDirectionError
 from irs_swipt.linalg import frob_sq, herm
-from irs_swipt.precoder import QuadraticData, sca_objective
+from irs_swipt.precoder import (QuadraticData, _probe, build_quadratic,
+                                dual_bisection, power_of_lambda,
+                                precoder_closed_form, sca_objective,
+                                sca_precoder_solve)
 
 from helpers import (bench_config, crandn, mu_per_user, pg_quadratic_solver,
                      precoder_terms_per_user, project_ball_halfspace,
@@ -154,13 +154,15 @@ class TestClosedForm:
 
 
 class TestComputeMu:
+    """The harvest multiplier mu(lambda), the second value of _probe."""
+
     def test_inactive_constraint(self):
         rng = np.random.default_rng(8)
         data, _, _ = random_data(rng, qbar=0.0)
         # anchor harvests something, so q_tilde = anchor harvest and the
         # mu = 0 solution stays above it only if condition (the inequality)
         # holds; with qbar = 0 a feasible direction always exists
-        mu = compute_mu(0.0, data)
+        mu = _probe(0.0, data)[1]
         if mu == 0.0:
             f0 = precoder_closed_form(0.0, 0.0, data)
             lin_h = 2.0 * sum(float(np.real(np.vdot(data.gfa[k], f0[k])))
@@ -176,7 +178,7 @@ class TestComputeMu:
             # raise the threshold until mu must activate
             anchor_q = harvested_power_quadratic(data.f_anchor, data.g)
             data = data.with_anchor(data.f_anchor, 5.0 * anchor_q)
-            mu = compute_mu(0.2, data)
+            mu = _probe(0.2, data)[1]
             if mu <= 0.0:
                 continue
             found += 1
@@ -193,7 +195,7 @@ class TestComputeMu:
         objectives, mus = [], []
         for factor in np.linspace(0.0, 6.0, 25):
             d = data.with_anchor(data.f_anchor, factor * anchor_q)
-            mu = compute_mu(0.1, d)
+            mu = _probe(0.1, d)[1]
             mus.append(mu)
             objectives.append(sca_objective(precoder_closed_form(0.1, mu, d), d))
         assert mus[0] == 0.0
@@ -209,7 +211,7 @@ class TestComputeMu:
         data = make_data(a, lin, np.zeros((n, n), dtype=complex),
                          crandn(rng, k, n, d), qbar=1.0)
         with pytest.raises(InfeasibleDirectionError):
-            compute_mu(0.0, data)
+            _probe(0.0, data)[1]
 
 
 class TestScalarDual:
@@ -236,7 +238,7 @@ class TestScalarDual:
                 continue
             cases += 1
             for lam in self.LAMS:
-                mu = compute_mu(lam, data)
+                mu = _probe(lam, data)[1]
                 mus.append(mu)
                 ref = mu_per_user(lam, data)
                 assert abs(mu - ref) <= 1e-10 * abs(ref)
@@ -298,7 +300,7 @@ class TestDualBisection:
         f, lam, mu = dual_bisection(data, p_t)
         assert lam == 0.0
         np.testing.assert_allclose(
-            f, precoder_closed_form(0.0, compute_mu(0.0, data), data))
+            f, precoder_closed_form(0.0, _probe(0.0, data)[1], data))
 
     def test_beats_random_feasible_points(self):
         rng = np.random.default_rng(16)

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from irs_swipt import (ChannelSet, Geometry, SystemConfig, generate_scenario,
-                       load_scenario, path_loss_linear, rician_channel,
-                       steering_vector, weighted_sum_rate)
+from irs_swipt import (Geometry, SystemConfig, generate_scenario,
+                       load_scenario, path_loss_linear, weighted_sum_rate)
+from irs_swipt.scenario import ChannelSet, rician_channel, steering_vector
 
 from helpers import random_precoders
 
