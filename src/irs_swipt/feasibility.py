@@ -4,46 +4,50 @@ The harvest maximization splits cleanly: for fixed phases, the optimal
 precoder is rank-one energy beamforming along the top eigenvector of the
 harvest matrix G, giving Q = lambda_max(G) * P_T; for fixed precoders, one
 SCA ascent step aligns the phases with the harvest gradient, read from the
-effective channels the precoder step was built on, so no M x M form is
+ER composites the precoder step was built on, so no M x M form is
 assembled.  Both steps can only increase Q.  The alternation stops as soon
 as Q clears the threshold (the problem is then feasible and the point
-initializes the BCD solver), or when Q stalls.
+initializes the BCD solver), or when Q stalls.  A step reads only the ER
+side of the channels, so it builds gbar and G alone; the IR composites are
+built once, at the returned phases, for a caller that asks for them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import frob_sq, max_eigpair, unit_phase
+from .linalg import frob_sq, unit_phase
 from .metrics import EffectiveChannels, effective_channels, \
-    harvested_power_quadratic
+    harvest_channels, harvested_power_quadratic
 from .scenario import ChannelSet, SystemConfig
 
 FEAS_MAX_ITER = 200
 STALL_RTOL = 1e-8
 
 
-def max_eh_precoder(eff: EffectiveChannels,
+def max_eh_precoder(g: np.ndarray,
                     config: SystemConfig) -> tuple[np.ndarray, float]:
-    """Energy beamforming: split P_T equally over IRs along G's top eigenvector.
+    """Energy beamforming: split P_T equally over IRs along the top
+    eigenvector of the Hermitian harvest matrix g.
 
     Returns (F, Q) with Q = lambda_max(G) * P_T and sum_k ||F_k||^2 = P_T.
+    eigh reads only the lower triangle of g, which harvest_channels makes
+    exactly Hermitian, so g is not symmetrized again here.
     """
-    chi, b = max_eigpair(eff.g)
+    w, v = np.linalg.eigh(g)
     f = np.zeros((config.n_irs, config.n_bs_antennas, config.n_streams),
                  dtype=complex)
-    amp = np.sqrt(config.power_budget / config.n_irs)
-    for k in range(config.n_irs):
-        f[k, :, 0] = amp * b
-    return f, chi * config.power_budget
+    f[:, :, 0] = np.sqrt(config.power_budget / config.n_irs) * v[:, -1]
+    return f, float(w[-1]) * config.power_budget
 
 
-def max_eh_phase_step(f: np.ndarray, eff: EffectiveChannels,
-                      channels: ChannelSet, config: SystemConfig) -> np.ndarray:
+def max_eh_phase_step(f: np.ndarray, gbar: np.ndarray, z: np.ndarray,
+                      g_r_conj: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """One SCA ascent step on the harvest objective with F fixed.
 
-    eff must be built at the anchor phases.  The step aligns with the
-    Wirtinger gradient of Q(phi) = eta sum_l alpha_l ||Gbar_l F||^2,
+    gbar holds the ER composites at the anchor phases, z is Z, g_r_conj is
+    conj(G_r) and scale the per-ER factors alpha_l * eta.  The step aligns
+    with the Wirtinger gradient of Q(phi) = eta sum_l alpha_l ||Gbar_l F||^2,
 
         w = dQ/dphi* = eta sum_l alpha_l diag(G_r,l^H Gbar_l F~ Z^H),
 
@@ -53,9 +57,8 @@ def max_eh_phase_step(f: np.ndarray, eff: EffectiveChannels,
     phase 1.
     """
     stacked = np.concatenate(f, axis=1)                 # [F_1 ... F_K]
-    cross = (eff.gbar @ stacked) @ (channels.z @ stacked).conj().T
-    weights = config.eh_efficiency * np.asarray(config.eh_weights)
-    grad = np.einsum("l,lnm,lnm->m", weights, channels.g_r.conj(), cross)
+    cross = (gbar @ stacked) @ (z @ stacked).conj().T
+    grad = np.einsum("l,lnm,lnm->m", scale, g_r_conj, cross)
     return unit_phase(grad)
 
 
@@ -111,23 +114,28 @@ def feasibility_check(channels: ChannelSet, config: SystemConfig, *,
     threshold is reached, progress stalls, or FEAS_MAX_ITER steps ran.
 
     Returns (feasible, F, phi, Q_achieved); when feasible, (F, phi) is a
-    valid starting point for the joint solver.  return_channels=True
-    appends the effective channels at phi, which the joint solver starts
-    from.
+    valid starting point for the joint solver.  Each step builds only the
+    ER composites and G; return_channels=True appends the full effective
+    channels, built once at the returned phi, which the joint solver
+    starts from.
     """
     qbar = config.eh_threshold
+    scale = config.eh_efficiency * np.asarray(config.eh_weights)
+    g_r_conj = channels.g_r.conj()
     phi = np.ones(config.n_elements, dtype=complex)
-    eff = effective_channels(channels, phi, config)
-    f, q = max_eh_precoder(eff, config)
-    best = (q >= qbar, f, phi, q, eff)
+    gbar, g = harvest_channels(channels, phi[:, None] * channels.z, scale)
+    f, q = max_eh_precoder(g, config)
+    best = (q >= qbar, f, phi, q)
     for _ in range(0 if q >= qbar or config.n_elements == 0
                    else FEAS_MAX_ITER):
-        phi = max_eh_phase_step(f, eff, channels, config)
-        eff = effective_channels(channels, phi, config)
-        f, q_new = max_eh_precoder(eff, config)
+        phi = max_eh_phase_step(f, gbar, channels.z, g_r_conj, scale)
+        gbar, g = harvest_channels(channels, phi[:, None] * channels.z, scale)
+        f, q_new = max_eh_precoder(g, config)
         if q_new > best[3]:
-            best = (q_new >= qbar, f, phi, q_new, eff)
+            best = (q_new >= qbar, f, phi, q_new)
         if q_new >= qbar or abs(q_new - q) <= STALL_RTOL * max(q_new, 1e-300):
             break
         q = q_new
-    return best if return_channels else best[:4]
+    if return_channels:
+        return best + (effective_channels(channels, best[2], config),)
+    return best

@@ -38,6 +38,7 @@ EXPERIMENTS = (
 )
 METHODS = ("bcd", "fixed-phase", "no-irs")
 HARVEST_ONLY = "max-harvest-vs-distance"
+CHUNKS_PER_WORKER = 32      # pool chunks per worker process in run_experiment
 
 
 @dataclass
@@ -198,15 +199,19 @@ def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int,
                        wall_time_s=wall)
 
 
-def _trial_cell(args):
-    spec_dict, si, ti, method = args
-    spec = ExperimentSpec.from_dict(spec_dict)
-    return (si, ti, method), run_trial(spec, si, ti, method)
+def _run_cells(args):
+    spec, cells = args
+    return [run_trial(spec, *cell) for cell in cells]
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[TrialResult]:
     """Run the full grid; partial failures never abort the sweep.
 
+    With threads > 1 the cells go to that many worker processes in
+    consecutive chunks, about CHUNKS_PER_WORKER per worker: the spec is
+    pickled once per chunk, and the last chunk to finish leaves the other
+    workers idle for only a small share of the run.  Every cell's result
+    depends only on its own seed, so it is the same at any worker count.
     Results come back ordered by (sweep index, trial, method) regardless of
     worker scheduling.
     """
@@ -215,14 +220,17 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[TrialResult]:
              for ti in range(spec.trials)
              for method in spec.methods]
     if threads <= 1:
-        results = {cell: run_trial(spec, *cell) for cell in cells}
+        results = [run_trial(spec, *cell) for cell in cells]
     else:
-        spec_dict = spec.to_dict()
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            pairs = pool.map(_trial_cell,
-                             [(spec_dict, si, ti, m) for si, ti, m in cells])
-            results = dict(pairs)
-    return [results[cell] for cell in sorted(results)]
+        size = -(-len(cells) // (threads * CHUNKS_PER_WORKER))
+        chunks = [(spec, cells[i:i + size])
+                  for i in range(0, len(cells), size)]
+        workers = min(threads, len(chunks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_cells, chunks))
+        results = [r for part in parts for r in part]
+    by_cell = dict(zip(cells, results))
+    return [by_cell[cell] for cell in sorted(by_cell)]
 
 
 def summarize(results: list[TrialResult]) -> dict[tuple[float, str], dict]:
@@ -284,10 +292,14 @@ def _write_results(results: list[TrialResult], format: str, fh: TextIO,
 
 
 def load_experiment_spec(path: str | Path) -> ExperimentSpec:
-    """Read an experiment spec file (JSON, keys matching ExperimentSpec);
-    a missing or unknown key or a mistyped value raises ValueError."""
+    """Read an experiment spec file (a JSON object, keys matching
+    ExperimentSpec); any other top level, a missing or unknown key or a
+    mistyped value raises ValueError."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"malformed experiment spec {path}: the top level "
+                         f"is {type(raw).__name__}, not a JSON object")
     try:
         return ExperimentSpec.from_dict(raw)
     except (TypeError, KeyError) as exc:

@@ -59,12 +59,6 @@ def logdet_pd(a: np.ndarray) -> float:
     return float(2.0 * np.sum(np.log(np.real(np.diag(c)))))
 
 
-def max_eigpair(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a unit eigenvector of a Hermitian matrix."""
-    w, v = np.linalg.eigh(hermitianize(a))
-    return float(w[-1]), v[:, -1]
-
-
 def frob_sq(a: np.ndarray) -> float:
     """Squared Frobenius norm."""
     return float(np.real(np.vdot(a, a)))

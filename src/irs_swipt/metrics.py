@@ -32,24 +32,35 @@ class EffectiveChannels:
     g: np.ndarray       # (N_B, N_B) Hermitian PSD harvest quadratic
 
 
+def harvest_channels(channels: ChannelSet, phi_z: np.ndarray,
+                     scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ER composites and the harvest matrix: (gbar, G).
+
+    phi_z is diag(phi) Z and scale the per-ER factors alpha_l * eta.  G =
+    sum_l scale_l gbar_l^H gbar_l is summed over the ERs in order, so it is
+    the same to the bit as adding one ER at a time.
+    """
+    gbar = channels.g_b + channels.g_r @ phi_z
+    g = (scale[:, None, None] * herm(gbar) @ gbar).sum(axis=0)
+    return gbar, hermitianize(g)
+
+
 def effective_channels(channels: ChannelSet, phi: np.ndarray,
                        config: SystemConfig) -> EffectiveChannels:
     """Compose the effective IR/ER channels and the harvest matrix G.
 
     G = sum_l alpha_l * eta * gbar_l^H gbar_l, so the weighted harvested
-    power is tr(sum_k F_k^H G F_k).
+    power is tr(sum_k F_k^H G F_k).  The ER part is harvest_channels; this
+    adds the IR composites hbar.
     """
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (config.n_elements,):
         raise ValueError(f"phi has shape {phi.shape}, expected ({config.n_elements},)")
     phi_z = phi[:, None] * channels.z                       # diag(phi) @ Z
+    scale = config.eh_efficiency * np.asarray(config.eh_weights)
+    gbar, g = harvest_channels(channels, phi_z, scale)
     hbar = channels.h_b + channels.h_r @ phi_z
-    gbar = channels.g_b + channels.g_r @ phi_z
-    alphas = np.asarray(config.eh_weights)
-    g = np.zeros((config.n_bs_antennas, config.n_bs_antennas), dtype=complex)
-    for el in range(config.n_ers):
-        g += alphas[el] * config.eh_efficiency * herm(gbar[el]) @ gbar[el]
-    return EffectiveChannels(hbar=hbar, gbar=gbar, g=hermitianize(g))
+    return EffectiveChannels(hbar=hbar, gbar=gbar, g=g)
 
 
 def _interference_cov(k: int, f: np.ndarray, hbar_k: np.ndarray,

@@ -201,12 +201,13 @@ def sca_precoder_solve(u: np.ndarray, w: np.ndarray, eff: EffectiveChannels,
     f = f_init
     data = build_quadratic(u, w, eff, f, config, eh_threshold=qbar)
     trajectory = [PrecoderIterate(sca_objective(f, data), frob_sq(f), q0)]
-    for _ in range(n_max):
+    for it in range(n_max):
+        if it:
+            data = data.with_anchor(f, qbar)
         f, _, _ = dual_bisection(data, p_t)
         z = sca_objective(f, data)
         trajectory.append(PrecoderIterate(
             z, frob_sq(f), harvested_power_quadratic(f, eff.g)))
-        data = data.with_anchor(f, qbar)
         if abs(z - trajectory[-2].objective) < eps * max(abs(z), 1e-30):
             break
     return f, trajectory

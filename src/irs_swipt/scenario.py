@@ -285,10 +285,14 @@ def generate_scenario(config: SystemConfig, geometry: Geometry,
 
 
 def load_scenario(path: str | Path) -> tuple[SystemConfig, Geometry, int]:
-    """Read a scenario file: JSON with "config", "geometry", optional "seed";
-    an unknown key or a mistyped value raises ValueError."""
+    """Read a scenario file: a JSON object with "config", "geometry",
+    optional "seed"; any other top level, an unknown key or a mistyped value
+    raises ValueError."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"malformed scenario {path}: the top level is "
+                         f"{type(raw).__name__}, not a JSON object")
     try:
         config = SystemConfig.from_dict(raw.get("config", {}))
         geometry = Geometry.from_dict(raw.get("geometry", {}))

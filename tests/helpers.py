@@ -11,7 +11,8 @@ import numpy as np
 from irs_swipt import SystemConfig, effective_channels
 from irs_swipt.bcd import mmse_refresh
 from irs_swipt.linalg import (herm, hermitian_solve, hermitianize,
-                              inverse_logdet_pd)
+                              inverse_logdet_pd, unit_phase)
+from irs_swipt.metrics import EffectiveChannels
 from irs_swipt.phase import (MmState, PhaseIterate, PhaseQcqpData,
                              assemble_phase_qcqp, mm_prepare, price_bisection)
 from irs_swipt.scenario import ChannelSet
@@ -408,6 +409,59 @@ def harvest_direct(f, phi, channels, config):
             q_l += float(np.real(np.vdot(gbar @ f[k], gbar @ f[k])))
         total += config.eh_weights[el] * config.eh_efficiency * q_l
     return total
+
+
+def effective_channels_loop(channels, phi, config):
+    """The effective channels with G summed one ER at a time: the reference
+    that the batched G build must equal to the bit."""
+    phi = np.asarray(phi, dtype=complex)
+    phi_z = phi[:, None] * channels.z                       # diag(phi) @ Z
+    hbar = channels.h_b + channels.h_r @ phi_z
+    gbar = channels.g_b + channels.g_r @ phi_z
+    alphas = np.asarray(config.eh_weights)
+    g = np.zeros((config.n_bs_antennas, config.n_bs_antennas), dtype=complex)
+    for el in range(config.n_ers):
+        g += alphas[el] * config.eh_efficiency * herm(gbar[el]) @ gbar[el]
+    return EffectiveChannels(hbar=hbar, gbar=gbar, g=hermitianize(g))
+
+
+def feasibility_check_loop(channels, config, max_iter=200, stall_rtol=1e-8):
+    """The feasibility alternation with a full effective-channel build
+    (effective_channels_loop) per step; returns (feasible, F, phi, Q, eff at
+    phi).  The reference that feasibility_check must equal to the bit."""
+
+    def max_eh_precoder(eff):
+        w, v = np.linalg.eigh(hermitianize(eff.g))
+        chi, b = float(w[-1]), v[:, -1]
+        f = np.zeros((config.n_irs, config.n_bs_antennas, config.n_streams),
+                     dtype=complex)
+        amp = np.sqrt(config.power_budget / config.n_irs)
+        for k in range(config.n_irs):
+            f[k, :, 0] = amp * b
+        return f, chi * config.power_budget
+
+    def max_eh_phase_step(f, eff):
+        stacked = np.concatenate(f, axis=1)                 # [F_1 ... F_K]
+        cross = (eff.gbar @ stacked) @ (channels.z @ stacked).conj().T
+        weights = config.eh_efficiency * np.asarray(config.eh_weights)
+        grad = np.einsum("l,lnm,lnm->m", weights, channels.g_r.conj(), cross)
+        return unit_phase(grad)
+
+    qbar = config.eh_threshold
+    phi = np.ones(config.n_elements, dtype=complex)
+    eff = effective_channels_loop(channels, phi, config)
+    f, q = max_eh_precoder(eff)
+    best = (q >= qbar, f, phi, q, eff)
+    for _ in range(0 if q >= qbar or config.n_elements == 0 else max_iter):
+        phi = max_eh_phase_step(f, eff)
+        eff = effective_channels_loop(channels, phi, config)
+        f, q_new = max_eh_precoder(eff)
+        if q_new > best[3]:
+            best = (q_new >= qbar, f, phi, q_new, eff)
+        if q_new >= qbar or abs(q_new - q) <= stall_rtol * max(q_new, 1e-300):
+            break
+        q = q_new
+    return best
 
 
 def harvest_gradient_fd(f, phi, channels, config, step=1e-4):

@@ -96,6 +96,13 @@ class TestRunCommand:
         assert main(["run", spec]) == 2
         assert "typo.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [[1, 2], "spec", None])
+    def test_non_object_spec_fails_with_diagnostic(self, tmp_path, capsys,
+                                                   doc):
+        spec = write(tmp_path, "toplevel.json", doc)
+        assert main(["run", spec]) == 2
+        assert "toplevel.json" in capsys.readouterr().err
+
     def test_missing_sweep_fails_with_diagnostic(self, tmp_path, capsys):
         doc = spec_doc()
         del doc["sweep"]
@@ -165,6 +172,13 @@ class TestScenarioCommands:
         scen = write(tmp_path, "typo.json", doc)
         assert main(["check-feasibility", scen]) == 2
         assert "typo.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [[1, 2], "scenario", None])
+    def test_non_object_scenario_fails_with_diagnostic(self, tmp_path, capsys,
+                                                       doc):
+        scen = write(tmp_path, "toplevel.json", doc)
+        assert main(["solve", scen]) == 2
+        assert "toplevel.json" in capsys.readouterr().err
 
     def test_string_element_count_fails(self, tmp_path, capsys):
         doc = scenario_doc()

@@ -7,6 +7,7 @@ import pytest
 from irs_swipt import (ExperimentSpec, Geometry, SystemConfig, emit_results,
                        feasibility_check, generate_scenario, run_experiment,
                        solve_with_init, summarize)
+import irs_swipt.harness as harness
 from irs_swipt.harness import (TrialResult, apply_sweep, derive_seed,
                                run_trial)
 from irs_swipt.scenario import ChannelSet
@@ -103,7 +104,7 @@ class TestBaselines:
         ch = generate_scenario(cfg, quick_geometry(), seed=6)
         bare = ch.without_irs()
         eff = effective_channels(bare, np.ones(cfg.n_elements, complex), cfg)
-        _, q = max_eh_precoder(eff, cfg)
+        _, q = max_eh_precoder(eff.g, cfg)
         g_direct = sum(cfg.eh_weights[el] * cfg.eh_efficiency
                        * herm(ch.g_b[el]) @ ch.g_b[el]
                        for el in range(cfg.n_ers))
@@ -201,6 +202,23 @@ class TestRunExperiment:
         spec = quick_spec(trials=2, methods=("no-irs",), sweep=[6.0, 10.0])
         seq = run_experiment(spec, threads=1)
         par = run_experiment(spec, threads=2)
+        assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
+
+    @pytest.mark.parametrize("cells", [1, 5])
+    @pytest.mark.parametrize("method", ["bcd", "no-irs"])
+    @pytest.mark.parametrize("experiment,sweep", [
+        ("wsr-vs-M", [6.0, 8.0, 10.0, 12.0, 14.0]),
+        ("max-harvest-vs-distance", [4.0, 5.0, 6.0, 7.0, 8.0])])
+    def test_chunked_pool_matches_sequential(self, monkeypatch, experiment,
+                                             sweep, method, cells):
+        # two chunks per worker at two workers: five cells go out in chunks
+        # of 2, 2 and 1, one cell in a single chunk to a single worker
+        monkeypatch.setattr(harness, "CHUNKS_PER_WORKER", 2)
+        spec = quick_spec(experiment=experiment, sweep=sweep[:cells],
+                          methods=(method,))
+        seq = run_experiment(spec, threads=1)
+        par = run_experiment(spec, threads=2)
+        assert len(par) == cells
         assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
 
     def test_harvest_grows_with_elements(self):

@@ -8,8 +8,9 @@ from irs_swipt.metrics import LN2, mse_matrix, wmmse_objective
 from irs_swipt.scenario import ChannelSet
 
 from helpers import (bench_config, crandn, effective_channel_direct,
-                     harvest_direct, random_channels, random_precoders,
-                     unit_phases, wmmse_state, wsr_direct, wsr_gradient)
+                     effective_channels_loop, harvest_direct, random_channels,
+                     random_precoders, unit_phases, wmmse_state, wsr_direct,
+                     wsr_gradient)
 
 
 def scalar_setup(h=1.0, p=4.0, sigma2=1.0):
@@ -58,6 +59,21 @@ class TestEffectiveChannels:
         eff = effective_channels(ch, unit_phases(rng, cfg.n_elements), cfg)
         assert np.max(np.abs(eff.g - herm(eff.g))) < 1e-12
         assert np.linalg.eigvalsh(eff.g)[0] > -1e-10
+
+
+    @pytest.mark.parametrize("m", [0, 1, 37])
+    @pytest.mark.parametrize("eh_weights", [(1.3,), (0.4, 1.9, 0.7)])
+    def test_batched_harvest_matrix_equals_per_er_loop(self, m, eh_weights):
+        rng = np.random.default_rng(10 * m + len(eh_weights))
+        cfg = bench_config(m=m, k_e=len(eh_weights), eh_weights=eh_weights)
+        for _ in range(5):
+            ch = random_channels(rng, cfg)
+            phi = unit_phases(rng, m)
+            eff = effective_channels(ch, phi, cfg)
+            ref = effective_channels_loop(ch, phi, cfg)
+            np.testing.assert_array_equal(eff.g, ref.g)
+            np.testing.assert_array_equal(eff.gbar, ref.gbar)
+            np.testing.assert_array_equal(eff.hbar, ref.hbar)
 
 
 class TestUserRate:

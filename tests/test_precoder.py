@@ -370,6 +370,34 @@ class TestScaSolve:
                 assert it.power <= cfg_q.power_budget * (1.0 + 1e-6)
                 assert it.harvest >= qbar * (1.0 - 1e-6)
 
+    @pytest.mark.parametrize("eps,n_max", [(1e-6, 100), (0.0, 3)])
+    def test_reanchors_only_before_another_iteration(self, monkeypatch, eps,
+                                                     n_max):
+        # one with_anchor per iteration after the first: the anchor at the
+        # last iterate would never be read
+        real = QuadraticData.with_anchor
+        anchors = []
+
+        def counted(data, f_anchor, eh_threshold):
+            anchors.append(f_anchor)
+            return real(data, f_anchor, eh_threshold)
+
+        monkeypatch.setattr(QuadraticData, "with_anchor", counted)
+        for seed in range(10):
+            rng = np.random.default_rng(3100 + seed)
+            cfg = bench_config()
+            ch, phi, f, u, w = wmmse_state(rng, cfg)
+            eff = effective_channels(ch, phi, cfg)
+            qbar = 0.6 * harvested_power_quadratic(f, eff.g)
+            cfg_q = bench_config(qbar=qbar)
+            anchors.clear()
+            f_out, traj = sca_precoder_solve(u, w, eff, f, cfg_q, eps=eps,
+                                             n_max=n_max)
+            iterations = len(traj) - 1
+            assert iterations >= 2
+            assert len(anchors) == iterations - 1
+            assert anchors[-1] is not f_out
+
     def test_rejects_infeasible_start(self):
         rng = np.random.default_rng(18)
         cfg = bench_config(qbar=1e6)
