@@ -4,7 +4,7 @@ Each full sweep updates F by the SCA precoder solver, phi by the MM phase
 solver, then refreshes U and W in closed form.  Every block can only improve
 the weighted-MMSE surrogate, and after the U/W refresh the surrogate equals
 the true weighted sum rate, so the rate trajectory is non-decreasing and
-every iterate stays feasible.
+every iterate stays feasible; with M = 0 there is no phase block.
 
 The refresh builds the effective channels once per sweep; the same build
 gives the decoders, the weights, the sweep's rate (log det W_k at the MMSE
@@ -122,16 +122,15 @@ def _track(report: SolveReport, iteration: int, f: np.ndarray,
 
 def bcd_solve(channels: ChannelSet, config: SystemConfig,
               init: tuple[np.ndarray, np.ndarray], eps: float = BCD_EPS,
-              n_max: int = BCD_MAX_ITER, optimize_phase: bool = True,
-              inner_eps: float | None = None, *,
+              n_max: int = BCD_MAX_ITER, *,
               eff: EffectiveChannels | None = None) -> SolveReport:
     """Run block coordinate descent from a feasible (F, phi) pair.
 
-    A failed inner solve keeps the previous block value and continues; after
-    MAX_CONSECUTIVE_FAILURES failed sweeps in a row the run aborts.
-    optimize_phase=False freezes phi (fixed-phase baseline).  inner_eps
-    overrides both inner solvers' relative tolerances (convergence studies).
-    eff, if given, is the effective channels already built at init's phases.
+    The phase block runs iff config.n_elements > 0 (the baselines run on a
+    surface-free channel set).  A failed inner solve keeps the previous
+    block value, records 0 inner iterations and continues; after
+    MAX_CONSECUTIVE_FAILURES failed sweeps in a row the run aborts.  eff,
+    if given, is the effective channels already built at init's phases.
     """
     t0 = time.perf_counter()
     f, phi = init
@@ -146,25 +145,26 @@ def bcd_solve(channels: ChannelSet, config: SystemConfig,
     u, w, wsr_nats = mmse_refresh(f, eff, config)
     _track(report, 0, f, eff, wsr_nats)
 
-    inner_kw = {} if inner_eps is None else {"eps": inner_eps}
     failures = 0
     for n in range(1, n_max + 1):
         failed = False
+        prec_iters = phase_iters = 0
         try:
-            f, prec_traj = sca_precoder_solve(u, w, eff, f, config, **inner_kw)
-            report.precoder_inner_iters.append(len(prec_traj) - 1)
+            f, prec_traj = sca_precoder_solve(u, w, eff, f, config)
+            prec_iters = len(prec_traj) - 1
         except SolverError as exc:
             log.warning("precoder block failed at sweep %d: %s", n, exc)
             failed = True
 
-        if optimize_phase and config.n_elements:
+        if config.n_elements:
             try:
-                phi, phase_traj = phase_solve(u, w, f, channels, phi, config,
-                                              **inner_kw)
-                report.phase_inner_iters.append(len(phase_traj) - 1)
+                phi, phase_traj = phase_solve(u, w, f, channels, phi, config)
+                phase_iters = len(phase_traj) - 1
             except SolverError as exc:
                 log.warning("phase block failed at sweep %d: %s", n, exc)
                 failed = True
+        report.precoder_inner_iters.append(prec_iters)
+        report.phase_inner_iters.append(phase_iters)
 
         eff = effective_channels(channels, phi, config)
         u, w, wsr_nats = mmse_refresh(f, eff, config)

@@ -3,9 +3,10 @@
 An experiment sweeps one scenario parameter over a list of values, runs a
 number of independent trials per value for each requested method, and
 collects one TrialResult per (value, trial, method).  The methods are the
-joint solve ("bcd") and its baselines: "fixed-phase" keeps the phases of
-the feasibility check, "no-irs" zeroes every IRS link; the harvest sweep
-runs the feasibility alternation instead.  Trials infeasible for the
+joint solve ("bcd") and its baselines, the same solve on a surface-free
+(M = 0) channel set: "no-irs" keeps the direct links, "fixed-phase" folds
+in the feasibility check's phases; the harvest sweep runs the
+feasibility alternation instead.  Trials infeasible for the
 harvest threshold score a weighted sum rate of zero.  Per-trial seeds are
 derived from a stable hash so results reproduce across runs, platforms,
 and worker counts.
@@ -25,6 +26,7 @@ from typing import TextIO
 from .bcd import BCD_MAX_ITER, SolveReport, bcd_solve
 from .errors import SolverError
 from .feasibility import feasibility_check, spread_streams
+from .metrics import surface_free
 from .scenario import ChannelSet, Geometry, SystemConfig, generate_scenario
 
 EXPERIMENTS = (
@@ -141,21 +143,15 @@ def apply_sweep(experiment: str, config: SystemConfig, geometry: Geometry,
 
 
 def solve_with_init(channels: ChannelSet, config: SystemConfig,
-                    n_max: int = BCD_MAX_ITER,
-                    optimize_phase: bool = True) -> SolveReport:
-    """Feasibility check followed by the full joint solve.
-
-    optimize_phase=False freezes the phases at the feasibility-check
-    solution (the fixed-phase baseline).
-    """
+                    n_max: int = BCD_MAX_ITER) -> SolveReport:
+    """Feasibility check followed by the full joint solve."""
     feasible, f0, phi0, _, eff0 = feasibility_check(channels, config,
                                                     return_channels=True)
     if not feasible:
         return SolveReport(wsr_trajectory=[(0, 0.0)], f=f0, phi=phi0,
                            feasible=False, iterations_used=0)
     f0 = spread_streams(f0, channels, config, phi0, eff=eff0)
-    return bcd_solve(channels, config, (f0, phi0), n_max=n_max,
-                     optimize_phase=optimize_phase, eff=eff0)
+    return bcd_solve(channels, config, (f0, phi0), n_max=n_max, eff=eff0)
 
 
 def _max_harvest(channels: ChannelSet,
@@ -175,16 +171,18 @@ def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int,
     seed = derive_seed(spec.seed_base, sweep_index, trial_index, method)
     t0 = time.perf_counter()
     channels = generate_scenario(config, geometry, seed)
-
     if method == "no-irs":
-        channels = channels.without_irs()
+        channels, config = surface_free(channels, config)
+    elif method == "fixed-phase":
+        phi = feasibility_check(channels, config)[2]
+        channels, config = surface_free(channels, config, phi)
+
     if spec.experiment == HARVEST_ONLY:
         feasible, q = _max_harvest(channels, config)
         wsr, iters = 0.0, 0
     else:
         try:
-            report = solve_with_init(channels, config,
-                                     optimize_phase=method != "fixed-phase")
+            report = solve_with_init(channels, config)
             feasible = report.feasible
             wsr = report.wsr_bits if feasible else 0.0
             iters = report.iterations_used
@@ -302,5 +300,5 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
                          f"is {type(raw).__name__}, not a JSON object")
     try:
         return ExperimentSpec.from_dict(raw)
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise ValueError(f"malformed experiment spec {path}: {exc!r}") from exc

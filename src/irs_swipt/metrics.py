@@ -13,7 +13,7 @@ boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +61,20 @@ def effective_channels(channels: ChannelSet, phi: np.ndarray,
     gbar, g = harvest_channels(channels, phi_z, scale)
     hbar = channels.h_b + channels.h_r @ phi_z
     return EffectiveChannels(hbar=hbar, gbar=gbar, g=g)
+
+
+def surface_free(channels: ChannelSet, config: SystemConfig,
+                 phi: np.ndarray | None = None
+                 ) -> tuple[ChannelSet, SystemConfig]:
+    """The same draw as a system with no elements (M = 0): the direct links
+    alone, or with phi the composites hbar(phi), gbar(phi) as the direct
+    links.  The IRS links become zero-width slices; nothing is copied."""
+    if phi is not None:
+        eff = effective_channels(channels, phi, config)
+        channels = replace(channels, h_b=eff.hbar, g_b=eff.gbar)
+    bare = replace(channels, z=channels.z[:0], h_r=channels.h_r[..., :0],
+                   g_r=channels.g_r[..., :0])
+    return bare, replace(config, n_elements=0)
 
 
 def _interference_cov(k: int, f: np.ndarray, hbar_k: np.ndarray,

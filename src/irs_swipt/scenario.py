@@ -44,8 +44,6 @@ class SystemConfig:
     rate_weights: tuple[float, ...] = ()    # omega_k, defaults to all-ones
     eh_weights: tuple[float, ...] = ()      # alpha_l, defaults to all-ones
     noise_power_ir: float = 1e-13   # watts (-160 dBm/Hz over 1 MHz)
-    noise_power_er: float = 1e-13   # watts; unused by the linear EH model
-    bandwidth: float = 1e6          # Hz
     rician_factor: float = 3.0      # beta for the Rician links
     antenna_spacing_ratio: float = 0.5  # element spacing over wavelength
 
@@ -71,7 +69,7 @@ class SystemConfig:
             raise ValueError("need 1 <= n_streams <= min(n_bs_antennas, n_ir_antennas)")
         if not 0.0 < self.eh_efficiency <= 1.0:
             raise ValueError("eh_efficiency must be in (0, 1]")
-        for name in ("power_budget", "noise_power_ir", "noise_power_er", "bandwidth"):
+        for name in ("power_budget", "noise_power_ir"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.eh_threshold < 0.0:
@@ -166,16 +164,6 @@ class ChannelSet:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
             if arr.size and not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-
-    def without_irs(self) -> "ChannelSet":
-        """Copy with all IRS-related links zeroed (No-IRS baseline)."""
-        return ChannelSet(
-            z=np.zeros_like(self.z),
-            h_b=self.h_b.copy(),
-            h_r=np.zeros_like(self.h_r),
-            g_b=self.g_b.copy(),
-            g_r=np.zeros_like(self.g_r),
-        )
 
 
 def path_loss_linear(distance: float, exponent: float, pl0_db: float = -30.0,
@@ -297,6 +285,6 @@ def load_scenario(path: str | Path) -> tuple[SystemConfig, Geometry, int]:
         config = SystemConfig.from_dict(raw.get("config", {}))
         geometry = Geometry.from_dict(raw.get("geometry", {}))
         seed = int(raw.get("seed", 0))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed scenario {path}: {exc!r}") from exc
     return config, geometry, seed

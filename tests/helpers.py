@@ -37,7 +37,7 @@ def bench_config(n_bs=4, n_ir=2, n_er=2, k_i=2, k_e=2, d=2, m=6,
         n_irs=k_i, n_ers=k_e, n_streams=d, n_elements=m,
         power_budget=p_t, eh_threshold=qbar, eh_efficiency=eta,
         rate_weights=rate_weights, eh_weights=eh_weights,
-        noise_power_ir=sigma2, noise_power_er=sigma2)
+        noise_power_ir=sigma2)
 
 
 def random_channels(rng, config, scale=1.0):

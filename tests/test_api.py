@@ -1,6 +1,6 @@
 """The public surface: the package namespace, the imports the demos and the
-README make from it, the benchmark's trace targets, and the demos that run
-in about a second."""
+README make from it, the benchmark's trace targets, and the demos and
+README code that run in about a second."""
 
 import ast
 import importlib
@@ -44,10 +44,25 @@ def irs_swipt_imports(source: str) -> list[tuple[str, str]]:
             for alias in node.names]
 
 
-def readme_quickstart() -> str:
+def readme_code(heading: str) -> str:
+    """The first Python block of the README section under heading."""
     text = (ROOT / "README.md").read_text()
-    section = text.split("## Library quickstart", 1)[1]
+    section = text.split(f"## {heading}", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def readme_quickstart() -> str:
+    return readme_code("Library quickstart")
+
+
+def run_python(args, cwd):
+    """A child interpreter importing the same package as this process,
+    installed or not."""
+    src = str(Path(irs_swipt.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_all_is_the_public_surface():
@@ -86,9 +101,12 @@ def test_trace_targets_resolve():
                                   "02_joint_solve.py",
                                   "03_harvest_range.py"])
 def test_demo_runs(demo, tmp_path):
-    src = str(Path(irs_swipt.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
-                          cwd=tmp_path, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = run_python([str(ROOT / "demos" / demo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_code_runs(tmp_path):
+    # the quickstart, then the baselines run by hand on its draw
+    code = readme_quickstart() + readme_code("Baselines")
+    proc = run_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,7 @@ from irs_swipt.bcd import mmse_refresh
 from irs_swipt.errors import ConditioningError
 from irs_swipt.feasibility import spread_streams
 from irs_swipt.linalg import frob_sq, inverse_logdet_pd
-from irs_swipt.metrics import mse_matrix, wmmse_objective
+from irs_swipt.metrics import mse_matrix, surface_free, wmmse_objective
 from irs_swipt.phase import phase_solve
 from irs_swipt.precoder import sca_precoder_solve
 
@@ -156,6 +156,15 @@ class TestBcdSolve:
         monkeypatch.setattr(bcd_module, "sca_precoder_solve", fails_once)
         report = bcd_solve(ch, cfg_q, (f0, phi0))
         assert len(calls) >= 2
+        # one inner-iteration entry per sweep, 0 for the failed precoder
+        # block and for a phase block that does not run
+        assert report.precoder_inner_iters[0] == 0
+        assert (len(report.precoder_inner_iters)
+                == len(report.phase_inner_iters) == report.iterations_used)
+        bare = solve_with_init(*surface_free(ch, bench_config(m=5)))
+        assert bare.feasible and bare.iterations_used >= 1
+        assert len(bare.precoder_inner_iters) == bare.iterations_used
+        assert bare.phase_inner_iters == [0] * bare.iterations_used
         rates = [r for _, r in report.wsr_trajectory]
         for a, b in zip(rates, rates[1:]):
             assert b >= a - 1e-9
@@ -252,7 +261,8 @@ class TestBcdSolve:
         ch.z[:] = 0.0
         feasible, f0, phi0, _ = feasibility_check(ch, cfg)
         full = bcd_solve(ch, cfg, (f0, phi0))
-        frozen = bcd_solve(ch, cfg, (f0, phi0), optimize_phase=False)
+        ch0, cfg0 = surface_free(ch, cfg)
+        frozen = bcd_solve(ch0, cfg0, (f0, np.ones(0, complex)))
         assert full.wsr_bits == pytest.approx(frozen.wsr_bits, rel=1e-9)
 
     def test_fixed_point_blockwise_stationarity(self):
@@ -262,8 +272,7 @@ class TestBcdSolve:
         rng = np.random.default_rng(10)
         cfg = bench_config(m=4, sigma2=4.0)
         ch, cfg_q, f0, phi0 = feasible_instance(rng, cfg, sigma2=4.0)
-        report = bcd_solve(ch, cfg_q, (f0, phi0), eps=1e-10, n_max=400,
-                           inner_eps=1e-10)
+        report = bcd_solve(ch, cfg_q, (f0, phi0), eps=1e-10, n_max=400)
         f, phi = report.f, report.phi
         u, w, _ = refresh(f, phi, ch, cfg_q)
         base = report.wsr_bits

@@ -96,7 +96,9 @@ class TestRunCommand:
         assert main(["run", spec]) == 2
         assert "typo.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc", [[1, 2], "spec", None])
+    @pytest.mark.parametrize("doc", [[1, 2], "spec", None,
+                                     {**spec_doc(), "sweep": "ab"},
+                                     {**spec_doc(), "config": "x"}])
     def test_non_object_spec_fails_with_diagnostic(self, tmp_path, capsys,
                                                    doc):
         spec = write(tmp_path, "toplevel.json", doc)
@@ -173,7 +175,8 @@ class TestScenarioCommands:
         assert main(["check-feasibility", scen]) == 2
         assert "typo.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc", [[1, 2], "scenario", None])
+    @pytest.mark.parametrize("doc", [[1, 2], "scenario", None,
+                                     {"config": "abc"}, {"seed": "x"}])
     def test_non_object_scenario_fails_with_diagnostic(self, tmp_path, capsys,
                                                        doc):
         scen = write(tmp_path, "toplevel.json", doc)

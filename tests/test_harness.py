@@ -7,10 +7,15 @@ import pytest
 from irs_swipt import (ExperimentSpec, Geometry, SystemConfig, emit_results,
                        feasibility_check, generate_scenario, run_experiment,
                        solve_with_init, summarize)
+import irs_swipt.bcd as bcd
+import irs_swipt.feasibility as feasibility
 import irs_swipt.harness as harness
 from irs_swipt.harness import (TrialResult, apply_sweep, derive_seed,
                                run_trial)
+from irs_swipt.metrics import surface_free
 from irs_swipt.scenario import ChannelSet
+
+from helpers import count_calls
 
 
 def quick_config(m=12, qbar=5e-5):
@@ -73,16 +78,12 @@ class TestBaselines:
     def test_no_irs_matches_zero_element_encoding(self):
         cfg = quick_config(m=10)
         ch = generate_scenario(cfg, quick_geometry(), seed=4)
-        report_zeroed = solve_with_init(ch.without_irs(), cfg)
+        zeroed = ChannelSet(z=np.zeros_like(ch.z), h_b=ch.h_b.copy(),
+                            h_r=np.zeros_like(ch.h_r), g_b=ch.g_b.copy(),
+                            g_r=np.zeros_like(ch.g_r))
+        report_zeroed = solve_with_init(zeroed, cfg)
 
-        cfg0 = SystemConfig(n_elements=0, eh_threshold=cfg.eh_threshold)
-        stripped = ChannelSet(
-            z=np.zeros((0, cfg.n_bs_antennas), dtype=complex),
-            h_b=ch.h_b.copy(),
-            h_r=np.zeros((cfg.n_irs, cfg.n_ir_antennas, 0), dtype=complex),
-            g_b=ch.g_b.copy(),
-            g_r=np.zeros((cfg.n_ers, cfg.n_er_antennas, 0), dtype=complex))
-        report_m0 = solve_with_init(stripped, cfg0)
+        report_m0 = solve_with_init(*surface_free(ch, cfg))
         assert report_zeroed.feasible == report_m0.feasible
         assert report_zeroed.wsr_bits == pytest.approx(report_m0.wsr_bits,
                                                        rel=1e-9)
@@ -90,7 +91,8 @@ class TestBaselines:
     def test_fixed_phase_trajectory_monotone(self):
         cfg = quick_config(m=14)
         ch = generate_scenario(cfg, quick_geometry(), seed=5)
-        report = solve_with_init(ch, cfg, optimize_phase=False)
+        phi0 = feasibility_check(ch, cfg)[2]
+        report = solve_with_init(*surface_free(ch, cfg, phi0))
         assert report.feasible
         rates = [r for _, r in report.wsr_trajectory]
         for a, b in zip(rates, rates[1:]):
@@ -102,8 +104,8 @@ class TestBaselines:
         from irs_swipt.linalg import herm
         cfg = quick_config(m=10)
         ch = generate_scenario(cfg, quick_geometry(), seed=6)
-        bare = ch.without_irs()
-        eff = effective_channels(bare, np.ones(cfg.n_elements, complex), cfg)
+        bare, cfg0 = surface_free(ch, cfg)
+        eff = effective_channels(bare, np.ones(0, complex), cfg0)
         _, q = max_eh_precoder(eff.g, cfg)
         g_direct = sum(cfg.eh_weights[el] * cfg.eh_efficiency
                        * herm(ch.g_b[el]) @ ch.g_b[el]
@@ -124,7 +126,8 @@ class TestBaselines:
             for seed in range(12):
                 ch = generate_scenario(cfg, geom, seed)
                 full = solve_with_init(ch, cfg)
-                fixed = solve_with_init(ch, cfg, optimize_phase=False)
+                phi0 = feasibility_check(ch, cfg)[2]
+                fixed = solve_with_init(*surface_free(ch, cfg, phi0))
                 if full.feasible and fixed.feasible:
                     gaps.append(full.wsr_bits - fixed.wsr_bits)
             assert len(gaps) >= 5
@@ -139,14 +142,33 @@ class TestBaselines:
         for seed in range(20):
             ch = generate_scenario(cfg, geom, seed)
             full = solve_with_init(ch, cfg)
-            fixed = solve_with_init(ch, cfg, optimize_phase=False)
-            bare = solve_with_init(ch.without_irs(), cfg)
+            phi0 = feasibility_check(ch, cfg)[2]
+            fixed = solve_with_init(*surface_free(ch, cfg, phi0))
+            bare = solve_with_init(*surface_free(ch, cfg))
             wsr = full.wsr_bits if full.feasible else 0.0
             gains_no_irs.append(wsr - (bare.wsr_bits if bare.feasible else 0.0))
             gains_fixed.append(wsr - (fixed.wsr_bits if fixed.feasible else 0.0))
         assert np.mean(gains_no_irs) > 0.0
         assert np.mean(gains_fixed) >= 0.0
         assert np.mean([g >= -1e-6 for g in gains_fixed]) >= 0.9
+
+    def test_baseline_cells_make_no_phase_steps(self, monkeypatch):
+        # a surface-free cell has no phase to move, so the joint solve runs
+        # no phase block and the harvest alternation no phase step
+        phase_solves = count_calls(monkeypatch, bcd, "phase_solve")
+        spec = quick_spec(sweep=[8.0, 12.0], trials=2,
+                          methods=("fixed-phase", "no-irs"))
+        results = run_experiment(spec)
+        for method in spec.methods:
+            assert any(r.iterations >= 1 for r in results
+                       if r.method == method)
+        assert phase_solves == []
+
+        phase_steps = count_calls(monkeypatch, feasibility,
+                                  "max_eh_phase_step")
+        run_experiment(quick_spec(experiment="max-harvest-vs-distance",
+                                  sweep=[4.0, 8.0], trials=2))
+        assert phase_steps == []
 
 
 class TestRunTrial:
@@ -157,7 +179,7 @@ class TestRunTrial:
         ("max-harvest-vs-distance", 4.0, "no-irs")])
     def test_matches_direct_solve(self, experiment, value, method):
         """Each cell is the direct solve (or harvest maximization) on the
-        cell's seeded channels, with the IRS stripped for no-irs."""
+        cell's seeded channels, made surface-free for the baselines."""
         spec = quick_spec(experiment=experiment, sweep=[value],
                           methods=(method,))
         cell = run_trial(spec, 0, 0, method)
@@ -165,14 +187,16 @@ class TestRunTrial:
                                        spec.geometry, spec.sweep[0])
         ch = generate_scenario(config, geometry, cell.seed)
         if method == "no-irs":
-            ch = ch.without_irs()
+            ch, config = surface_free(ch, config)
+        elif method == "fixed-phase":
+            ch, config = surface_free(ch, config,
+                                      feasibility_check(ch, config)[2])
         if experiment == "max-harvest-vs-distance":
             q = feasibility_check(
                 ch, replace(config, eh_threshold=float("inf")))[3]
             expected = (0.0, q, 0)
         else:
-            report = solve_with_init(ch, config,
-                                     optimize_phase=method != "fixed-phase")
+            report = solve_with_init(ch, config)
             assert report.feasible
             expected = (report.wsr_bits, report.harvest_trajectory[-1],
                         report.iterations_used)

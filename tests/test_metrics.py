@@ -17,7 +17,7 @@ def scalar_setup(h=1.0, p=4.0, sigma2=1.0):
     """Single-antenna single-user system with a real scalar channel."""
     cfg = SystemConfig(n_bs_antennas=1, n_ir_antennas=1, n_er_antennas=1,
                        n_irs=1, n_ers=1, n_streams=1, n_elements=0,
-                       noise_power_ir=sigma2, noise_power_er=sigma2,
+                       noise_power_ir=sigma2,
                        power_budget=p)
     ch = ChannelSet(z=np.zeros((0, 1), dtype=complex),
                     h_b=np.full((1, 1, 1), h, dtype=complex),
