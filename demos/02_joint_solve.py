@@ -7,7 +7,6 @@ import numpy as np
 from irs_swipt import (Geometry, SystemConfig, bcd_solve, effective_channels,
                        feasibility_check, generate_scenario,
                        harvested_power_quadratic)
-from irs_swipt.feasibility import spread_streams
 from irs_swipt.linalg import frob_sq
 
 config = SystemConfig(n_elements=40)
@@ -20,7 +19,7 @@ print(f"feasibility check: feasible={feasible}, best harvest {q0:.3e} W "
 if not feasible:
     raise SystemExit("threshold unreachable for this draw; try another seed")
 
-f0 = spread_streams(f0, channels, config, phi0)
+# bcd_solve spreads the rank-one start over the data streams itself
 report = bcd_solve(channels, config, (f0, phi0))
 
 print(f"\nconverged in {report.iterations_used} sweeps, "

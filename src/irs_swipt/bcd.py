@@ -1,10 +1,11 @@
 """Outer block-coordinate descent: precoders, phases, decoders, weights.
 
-Each full sweep updates F by the SCA precoder solver, phi by the MM phase
-solver, then refreshes U and W in closed form.  Every block can only improve
-the weighted-MMSE surrogate, and after the U/W refresh the surrogate equals
-the true weighted sum rate, so the rate trajectory is non-decreasing and
-every iterate stays feasible; with M = 0 there is no phase block.
+A run starts from any feasible (F, phi).  Each full sweep updates F by the
+SCA precoder solver, phi by the MM phase solver, then refreshes U and W in
+closed form.  Every block can only improve the weighted-MMSE surrogate,
+and after the U/W refresh the surrogate equals the true weighted sum rate,
+so the rate trajectory is non-decreasing and every iterate stays feasible;
+with M = 0 there is no phase block.
 
 The refresh builds the effective channels once per sweep; the same build
 gives the decoders, the weights, the sweep's rate (log det W_k at the MMSE
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .linalg import (frob_sq, herm, hermitian_solve, hermitianize,
-                     inverse_logdet_pd)
+from .feasibility import spread_streams
+from .linalg import frob_sq, herm, hermitian_solve, inverse_logdet_pd
 from .metrics import (LN2, EffectiveChannels, effective_channels,
                       harvested_power_quadratic)
 from .phase import phase_solve
@@ -45,12 +46,15 @@ class SolveReport:
     f: np.ndarray                               # final precoders
     phi: np.ndarray                             # final phases
     feasible: bool
-    iterations_used: int
     precoder_inner_iters: list[int] = field(default_factory=list)
     phase_inner_iters: list[int] = field(default_factory=list)
     power_trajectory: list[float] = field(default_factory=list)
     harvest_trajectory: list[float] = field(default_factory=list)
     wall_time_s: float = 0.0
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.wsr_trajectory) - 1
 
     @property
     def wsr_bits(self) -> float:
@@ -93,8 +97,8 @@ def mmse_refresh(f: np.ndarray, eff: EffectiveChannels,
     cov = terms.sum(axis=1)
     hf_own = np.einsum("kkid->kid", hf)                 # Hbar_k F_k
     u = hermitian_solve(cov, hf_own)
-    e_star = hermitianize(np.eye(config.n_streams) - herm(hf_own) @ u)
-    w, logdet_e = inverse_logdet_pd(e_star)
+    w, logdet_e = inverse_logdet_pd(np.eye(config.n_streams)
+                                    - herm(hf_own) @ u)
     return u, w, -float(np.sum(np.multiply(config.rate_weights, logdet_e)))
 
 
@@ -122,26 +126,27 @@ def _track(report: SolveReport, iteration: int, f: np.ndarray,
 
 def bcd_solve(channels: ChannelSet, config: SystemConfig,
               init: tuple[np.ndarray, np.ndarray], eps: float = BCD_EPS,
-              n_max: int = BCD_MAX_ITER, *,
-              eff: EffectiveChannels | None = None) -> SolveReport:
-    """Run block coordinate descent from a feasible (F, phi) pair.
+              n_max: int = BCD_MAX_ITER) -> SolveReport:
+    """Run block coordinate descent from any feasible (F, phi) pair.
 
-    The phase block runs iff config.n_elements > 0 (the baselines run on a
-    surface-free channel set).  A failed inner solve keeps the previous
-    block value, records 0 inner iterations and continues; after
-    MAX_CONSECUTIVE_FAILURES failed sweeps in a row the run aborts.  eff,
-    if given, is the effective channels already built at init's phases.
+    No block moves a precoder column off zero, so the checked start's zero
+    stream columns are filled first (spread_streams): feasibility_check's
+    rank-one F is spread over the streams, a start with no zero column is
+    kept as given.  The phase block runs iff config.n_elements > 0 (the
+    baselines run on a surface-free channel set).  A failed inner solve
+    keeps the previous block value, records 0 inner iterations and
+    continues; after MAX_CONSECUTIVE_FAILURES failed sweeps in a row the
+    run aborts.
     """
     t0 = time.perf_counter()
     f, phi = init
     f = np.asarray(f, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
-    if eff is None:
-        eff = effective_channels(channels, phi, config)
+    eff = effective_channels(channels, phi, config)
     _check_init(f, phi, eff, config)
+    f = spread_streams(f, eff.g, config)
 
-    report = SolveReport(wsr_trajectory=[], f=f, phi=phi, feasible=True,
-                         iterations_used=0)
+    report = SolveReport(wsr_trajectory=[], f=f, phi=phi, feasible=True)
     u, w, wsr_nats = mmse_refresh(f, eff, config)
     _track(report, 0, f, eff, wsr_nats)
 
@@ -171,15 +176,11 @@ def bcd_solve(channels: ChannelSet, config: SystemConfig,
 
         failures = failures + 1 if failed else 0
         if failures >= MAX_CONSECUTIVE_FAILURES:
-            report.f, report.phi = f, phi
-            report.iterations_used = n
-            report.wall_time_s = time.perf_counter() - t0
             raise SolverError(
                 f"{failures} consecutive failed BCD sweeps; last WSR "
                 f"{report.wsr_bits:.6f} bit/s/Hz")
 
         wsr_bits = _track(report, n, f, eff, wsr_nats)
-        report.iterations_used = n
         prev = report.wsr_trajectory[-2][1]
         if abs(wsr_bits - prev) < eps * max(abs(wsr_bits), 1e-30):
             break

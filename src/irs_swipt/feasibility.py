@@ -8,8 +8,9 @@ ER composites the precoder step was built on, so no M x M form is
 assembled.  Both steps can only increase Q.  The alternation stops as soon
 as Q clears the threshold (the problem is then feasible and the point
 initializes the BCD solver), or when Q stalls.  A step reads only the ER
-side of the channels, so it builds gbar and G alone; the IR composites are
-built once, at the returned phases, for a caller that asks for them.
+side of the channels, so it builds gbar and G alone.  The returned F is
+rank-one; bcd_solve spreads it over the streams itself, so any feasible
+(F, phi) is a start.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import frob_sq, unit_phase
-from .metrics import EffectiveChannels, effective_channels, \
-    harvest_channels, harvested_power_quadratic
+from .metrics import harvest_channels, harvested_power_quadratic
 from .scenario import ChannelSet, SystemConfig
 
 FEAS_MAX_ITER = 200
@@ -62,27 +62,24 @@ def max_eh_phase_step(f: np.ndarray, gbar: np.ndarray, z: np.ndarray,
     return unit_phase(grad)
 
 
-def spread_streams(f: np.ndarray, channels: ChannelSet, config: SystemConfig,
-                   phi: np.ndarray, *,
-                   eff: EffectiveChannels | None = None) -> np.ndarray:
-    """Move power into the zero stream columns of an energy-beamforming
-    precoder, aiming for an equal split across streams.
+def spread_streams(f: np.ndarray, g: np.ndarray,
+                   config: SystemConfig) -> np.ndarray:
+    """Move power into the zero stream columns of precoder f, aiming for an
+    equal split across streams; g is the harvest matrix at f's phases.
 
     The closed-form decoder/weight/precoder updates all preserve exactly-zero
-    precoder columns, so starting the joint solver from the rank-one harvest
-    maximizer would pin every user to a single stream.  Mixing in orthogonal
-    directions (backing off whenever the harvest constraint would break)
-    unlocks the remaining streams without losing feasibility.  The mix
-    starts at full strength and backs off by quarters: a full-strength mix
-    converges measurably faster than a faint perturbation, which leaves the
-    solver crawling out of the near-rank-one saddle.  eff, if
-    given, is the effective channels already built at phi.
+    precoder columns, so bcd_solve runs this on its start: from the rank-one
+    harvest maximizer every user would keep a single stream.  Mixing in
+    orthogonal directions (backing off whenever the harvest constraint
+    would break) unlocks the remaining streams without losing feasibility.
+    The mix starts at full strength and backs off by quarters: a
+    full-strength mix converges measurably faster than a faint
+    perturbation, which leaves the solver crawling out of the
+    near-rank-one saddle.  An f with no zero column comes back unchanged.
     """
     d = config.n_streams
     if d == 1 or not np.any(np.abs(f)):
         return f
-    if eff is None:
-        eff = effective_channels(channels, phi, config)
     power = frob_sq(f)
     qbar = config.eh_threshold
 
@@ -102,22 +99,19 @@ def spread_streams(f: np.ndarray, channels: ChannelSet, config: SystemConfig,
     delta = 1.0
     while delta > 1e-12:
         candidate = mixed(delta)
-        if harvested_power_quadratic(candidate, eff.g) >= qbar:
+        if harvested_power_quadratic(candidate, g) >= qbar:
             return candidate
         delta /= 4.0
     return f
 
 
-def feasibility_check(channels: ChannelSet, config: SystemConfig, *,
-                      return_channels: bool = False) -> tuple:
+def feasibility_check(channels: ChannelSet, config: SystemConfig) -> tuple:
     """Alternate energy beamforming and phase ascent until the harvest
     threshold is reached, progress stalls, or FEAS_MAX_ITER steps ran.
 
     Returns (feasible, F, phi, Q_achieved); when feasible, (F, phi) is a
     valid starting point for the joint solver.  Each step builds only the
-    ER composites and G; return_channels=True appends the full effective
-    channels, built once at the returned phi, which the joint solver
-    starts from.
+    ER composites and G.
     """
     qbar = config.eh_threshold
     scale = config.eh_efficiency * np.asarray(config.eh_weights)
@@ -136,6 +130,4 @@ def feasibility_check(channels: ChannelSet, config: SystemConfig, *,
         if q_new >= qbar or abs(q_new - q) <= STALL_RTOL * max(q_new, 1e-300):
             break
         q = q_new
-    if return_channels:
-        return best + (effective_channels(channels, best[2], config),)
     return best

@@ -3,13 +3,13 @@
 An experiment sweeps one scenario parameter over a list of values, runs a
 number of independent trials per value for each requested method, and
 collects one TrialResult per (value, trial, method).  The methods are the
-joint solve ("bcd") and its baselines, the same solve on a surface-free
-(M = 0) channel set: "no-irs" keeps the direct links, "fixed-phase" folds
-in the feasibility check's phases; the harvest sweep runs the
-feasibility alternation instead.  Trials infeasible for the
-harvest threshold score a weighted sum rate of zero.  Per-trial seeds are
-derived from a stable hash so results reproduce across runs, platforms,
-and worker counts.
+joint solve ("bcd", from the feasibility check's point) and its
+baselines, the same solve on a surface-free (M = 0) channel set: "no-irs"
+keeps the direct links, "fixed-phase" folds in the feasibility check's
+phases; the harvest sweep runs the feasibility alternation instead.
+Trials infeasible for the harvest threshold score a weighted sum rate of
+zero.  Per-trial seeds are derived from a stable hash so results
+reproduce across runs, platforms, and worker counts.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ from typing import TextIO
 
 from .bcd import BCD_MAX_ITER, SolveReport, bcd_solve
 from .errors import SolverError
-from .feasibility import feasibility_check, spread_streams
+from .feasibility import feasibility_check
 from .metrics import surface_free
 from .scenario import ChannelSet, Geometry, SystemConfig, generate_scenario
 
 EXPERIMENTS = (
     "max-harvest-vs-distance",
-    "convergence",
     "wsr-vs-M",
     "wsr-vs-Qbar",
     "wsr-vs-alphaIRS",
@@ -129,7 +128,7 @@ def apply_sweep(experiment: str, config: SystemConfig, geometry: Geometry,
     """Bind one sweep value to the scenario parameters it controls."""
     if experiment in ("max-harvest-vs-distance", "wsr-vs-xER"):
         return config, geometry.with_er_center(float(value))
-    if experiment in ("wsr-vs-M", "convergence"):
+    if experiment == "wsr-vs-M":
         return replace(config, n_elements=int(value)), geometry
     if experiment == "wsr-vs-Qbar":
         return replace(config, eh_threshold=float(value)), geometry
@@ -144,14 +143,12 @@ def apply_sweep(experiment: str, config: SystemConfig, geometry: Geometry,
 
 def solve_with_init(channels: ChannelSet, config: SystemConfig,
                     n_max: int = BCD_MAX_ITER) -> SolveReport:
-    """Feasibility check followed by the full joint solve."""
-    feasible, f0, phi0, _, eff0 = feasibility_check(channels, config,
-                                                    return_channels=True)
+    """Feasibility check, then bcd_solve from the point it returns."""
+    feasible, f0, phi0, _ = feasibility_check(channels, config)
     if not feasible:
         return SolveReport(wsr_trajectory=[(0, 0.0)], f=f0, phi=phi0,
-                           feasible=False, iterations_used=0)
-    f0 = spread_streams(f0, channels, config, phi0, eff=eff0)
-    return bcd_solve(channels, config, (f0, phi0), n_max=n_max, eff=eff0)
+                           feasible=False)
+    return bcd_solve(channels, config, (f0, phi0), n_max=n_max)
 
 
 def _max_harvest(channels: ChannelSet,

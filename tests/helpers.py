@@ -427,8 +427,8 @@ def effective_channels_loop(channels, phi, config):
 
 def feasibility_check_loop(channels, config, max_iter=200, stall_rtol=1e-8):
     """The feasibility alternation with a full effective-channel build
-    (effective_channels_loop) per step; returns (feasible, F, phi, Q, eff at
-    phi).  The reference that feasibility_check must equal to the bit."""
+    (effective_channels_loop) per step; returns (feasible, F, phi, Q).  The
+    reference that feasibility_check must equal to the bit."""
 
     def max_eh_precoder(eff):
         w, v = np.linalg.eigh(hermitianize(eff.g))
@@ -451,13 +451,13 @@ def feasibility_check_loop(channels, config, max_iter=200, stall_rtol=1e-8):
     phi = np.ones(config.n_elements, dtype=complex)
     eff = effective_channels_loop(channels, phi, config)
     f, q = max_eh_precoder(eff)
-    best = (q >= qbar, f, phi, q, eff)
+    best = (q >= qbar, f, phi, q)
     for _ in range(0 if q >= qbar or config.n_elements == 0 else max_iter):
         phi = max_eh_phase_step(f, eff)
         eff = effective_channels_loop(channels, phi, config)
         f, q_new = max_eh_precoder(eff)
         if q_new > best[3]:
-            best = (q_new >= qbar, f, phi, q_new, eff)
+            best = (q_new >= qbar, f, phi, q_new)
         if q_new >= qbar or abs(q_new - q) <= stall_rtol * max(q_new, 1e-300):
             break
         q = q_new

@@ -13,7 +13,6 @@ from irs_swipt import (ExperimentSpec, Geometry, SystemConfig, bcd_solve,
                        effective_channels, emit_results, feasibility_check,
                        generate_scenario, run_experiment, summarize,
                        weighted_sum_rate)
-from irs_swipt.feasibility import spread_streams
 from irs_swipt.metrics import wmmse_objective
 from irs_swipt.phase import eh_slack, mm_prepare, price_bisection
 from irs_swipt.precoder import (build_quadratic, dual_bisection,
@@ -152,7 +151,6 @@ def bcd_runs():
         feasible, f0, phi0, q = feasibility_check(ch, cfg)
         if not feasible:
             continue
-        f0 = spread_streams(f0, ch, cfg, phi0)
         runs.append((cfg, ch, bcd_solve(ch, cfg, (f0, phi0))))
     return runs
 
@@ -212,7 +210,6 @@ def test_criterion_07_single_user_waterfilling():
         cfg = bench_config(n_bs=4, n_ir=2, d=2, k_i=1, m=6, qbar=0.0)
         ch = random_channels(rng, cfg)
         feasible, f0, phi0, _ = feasibility_check(ch, cfg)
-        f0 = spread_streams(f0, ch, cfg, phi0)
         rep = bcd_solve(ch, cfg, (f0, phi0), eps=1e-8, n_max=300)
         eff = effective_channels(ch, rep.phi, cfg)
         capacity = waterfill_capacity(eff.hbar[0], cfg.noise_power_ir,

@@ -31,7 +31,7 @@ PUBLIC = {
 STALE_TRACE_TARGETS = {
     "feasibility.assemble_eh_qcqp", "bcd.update_decoders",
     "bcd.update_weights", "bcd.weighted_sum_rate",
-    "precoder.effective_channels",
+    "precoder.effective_channels", "harness.spread_streams",
 }
 
 

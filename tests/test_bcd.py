@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 import irs_swipt.bcd as bcd_module
-import irs_swipt.feasibility as feasibility_module
 from irs_swipt import (SolverError, bcd_solve, effective_channels,
                        feasibility_check, harvested_power_quadratic,
                        solve_with_init, weighted_sum_rate)
 from irs_swipt.bcd import mmse_refresh
 from irs_swipt.errors import ConditioningError
-from irs_swipt.feasibility import spread_streams
 from irs_swipt.linalg import frob_sq, inverse_logdet_pd
 from irs_swipt.metrics import mse_matrix, surface_free, wmmse_objective
 from irs_swipt.phase import phase_solve
@@ -29,7 +27,6 @@ def feasible_instance(rng, cfg, qbar_frac=0.5, sigma2=1.0):
     cfg_q = bench_config(m=cfg.n_elements, qbar=qbar_frac * q, sigma2=sigma2)
     feasible, f0, phi0, q2 = feasibility_check(ch, cfg_q)
     assert feasible
-    f0 = spread_streams(f0, ch, cfg_q, phi0)
     return ch, cfg_q, f0, phi0
 
 
@@ -234,23 +231,47 @@ class TestBcdSolve:
     @pytest.mark.parametrize("qbar_frac", [0.0, 0.5, 0.9])
     def test_one_channel_build_at_the_starting_phases(self, monkeypatch,
                                                       qbar_frac):
-        # feasibility_check builds the channels at its final phases; the
-        # stream spreading and the solver's start reuse that build
+        # feasibility_check builds only the ER side of the channels; the
+        # solver builds them in full once at its starting phases, and the
+        # start check and the stream spreading read that build
         rng = np.random.default_rng(504)
         cfg = bench_config(m=5)
         ch = random_channels(rng, cfg)
         q_max = feasibility_check(ch, bench_config(m=5, qbar=np.inf))[3]
         cfg_q = bench_config(m=5, qbar=qbar_frac * q_max)
         phi0 = feasibility_check(ch, cfg_q)[2]
-        in_feasibility = count_calls(monkeypatch, feasibility_module,
-                                     "effective_channels")
-        in_bcd = count_calls(monkeypatch, bcd_module, "effective_channels")
+        builds = count_calls(monkeypatch, bcd_module, "effective_channels")
         report = solve_with_init(ch, cfg_q, n_max=0)
         assert report.feasible and report.iterations_used == 0
-        assert in_bcd == []
-        at_start = [args for args in in_feasibility
-                    if np.array_equal(args[1], phi0)]
-        assert len(at_start) == 1
+        assert len(builds) == 1
+        assert np.array_equal(builds[0][1], phi0)
+
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_rank_one_start_is_spread_over_the_streams(self, m):
+        # no block moves a precoder column off zero, so without the spread
+        # at the start every IR would keep a single stream
+        rng = np.random.default_rng(505 + m)
+        ch, cfg_q, f0, phi0 = feasible_instance(rng, bench_config(m=m))
+        assert np.all(f0[:, :, 1] == 0.0)
+        report = bcd_solve(ch, cfg_q, (f0, phi0), n_max=3)
+        assert np.all(np.linalg.norm(report.f, axis=1) > 0.0)
+
+    def test_solve_with_init_is_the_solve_from_the_feasibility_point(self):
+        for seed in range(4):
+            rng = np.random.default_rng(506 + seed)
+            cfg = bench_config(m=5)
+            ch = random_channels(rng, cfg)
+            q_max = feasibility_check(ch, bench_config(m=5, qbar=np.inf))[3]
+            cfg_q = bench_config(m=5, qbar=0.5 * q_max)
+            ref = bcd_solve(ch, cfg_q, feasibility_check(ch, cfg_q)[1:3])
+            out = solve_with_init(ch, cfg_q)
+            np.testing.assert_array_equal(out.f, ref.f)
+            np.testing.assert_array_equal(out.phi, ref.phi)
+            for name in ("wsr_trajectory", "power_trajectory",
+                         "harvest_trajectory", "precoder_inner_iters",
+                         "phase_inner_iters"):
+                assert getattr(out, name) == getattr(ref, name)
+            assert out.iterations_used == ref.iterations_used
 
     def test_no_irs_reduction_matches_precoder_only(self):
         rng = np.random.default_rng(4)
@@ -301,7 +322,6 @@ class TestBcdSolve:
             cfg = bench_config(n_bs=4, n_ir=2, d=2, k_i=1, m=4, qbar=0.0)
             ch = random_channels(rng, cfg)
             feasible, f0, phi0, _ = feasibility_check(ch, cfg)
-            f0 = spread_streams(f0, ch, cfg, phi0)
             report = bcd_solve(ch, cfg, (f0, phi0), eps=1e-8, n_max=300)
             eff = effective_channels(ch, report.phi, cfg)
             cap_nats = waterfill_capacity(eff.hbar[0], cfg.noise_power_ir,

@@ -4,8 +4,9 @@ import pytest
 import irs_swipt.feasibility as feasibility
 from irs_swipt import (effective_channels, feasibility_check,
                        harvested_power_quadratic)
-from irs_swipt.feasibility import max_eh_phase_step, max_eh_precoder
-from irs_swipt.linalg import herm, unit_phase
+from irs_swipt.feasibility import (max_eh_phase_step, max_eh_precoder,
+                                   spread_streams)
+from irs_swipt.linalg import frob_sq, herm, unit_phase
 from irs_swipt.phase import assemble_phase_qcqp
 
 from helpers import bench_config, count_calls, crandn, dense_form, \
@@ -182,35 +183,74 @@ class TestMatchesPerStepBuild:
             cfg = bench_config(m=m, k_e=len(eh_weights),
                                eh_weights=eh_weights, qbar=qbar)
             ref = feasibility_check_loop(ch, cfg)
-            out = feasibility_check(ch, cfg, return_channels=True)
-            assert out[0] == ref[0]
+            out = feasibility_check(ch, cfg)
+            assert len(out) == 4
+            assert out[0] == ref[0] and out[3] == ref[3]
             np.testing.assert_array_equal(out[1], ref[1])
             np.testing.assert_array_equal(out[2], ref[2])
-            assert out[3] == ref[3]
-            for name in ("hbar", "gbar", "g"):
-                np.testing.assert_array_equal(getattr(out[4], name),
-                                              getattr(ref[4], name))
-            short = feasibility_check(ch, cfg)
-            assert len(short) == 4
-            assert short[0] == ref[0] and short[3] == ref[3]
-            np.testing.assert_array_equal(short[1], ref[1])
-            np.testing.assert_array_equal(short[2], ref[2])
 
-    @pytest.mark.parametrize("return_channels", [False, True])
-    def test_full_channel_build_only_at_the_returned_phases(
-            self, monkeypatch, return_channels):
-        builds = count_calls(monkeypatch, feasibility, "effective_channels")
+    def test_one_phase_step_between_two_precoder_steps(self, monkeypatch):
+        # feasibility.py imports no full channel build, so every step builds
+        # only the ER composites
+        assert not hasattr(feasibility, "effective_channels")
         steps = count_calls(monkeypatch, feasibility, "max_eh_phase_step")
         precoders = count_calls(monkeypatch, feasibility, "max_eh_precoder")
         rng = np.random.default_rng(11)
         cfg = bench_config(m=37, qbar=np.inf)
-        out = feasibility_check(random_channels(rng, cfg), cfg,
-                                return_channels=return_channels)
-        # one phase step per alternation step, between two precoder steps
+        feasibility_check(random_channels(rng, cfg), cfg)
         assert len(steps) >= 2
         assert len(steps) == len(precoders) - 1
-        if return_channels:
-            assert len(builds) == 1
-            assert builds[0][1] is out[2]
-        else:
-            assert builds == []
+
+
+class TestSpreadStreams:
+    """spread_streams on the energy-beamforming precoder and on others."""
+
+    def rank_one_start(self, seed, qbar_frac, **kw):
+        """feasibility_check's rank-one F, its harvest matrix G at the
+        returned phases, and a config whose threshold is qbar_frac times
+        the harvest of that F."""
+        rng = np.random.default_rng(seed)
+        cfg = bench_config(**kw)
+        ch = random_channels(rng, cfg)
+        _, f, phi, _ = feasibility_check(ch, cfg)
+        g = effective_channels(ch, phi, cfg).g
+        q = harvested_power_quadratic(f, g)
+        return f, g, bench_config(qbar=qbar_frac * q, **kw)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("qbar_frac", [0.0, 0.5, 0.9, 1.0])
+    def test_keeps_the_power_and_the_harvest(self, d, qbar_frac):
+        for seed in range(8):
+            f, g, cfg = self.rank_one_start(900 + seed, qbar_frac, d=d, n_ir=d)
+            out = spread_streams(f, g, cfg)
+            assert abs(frob_sq(out) - frob_sq(f)) <= 1e-12 * frob_sq(f)
+            assert harvested_power_quadratic(out, g) >= cfg.eh_threshold
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("qbar_frac", [0.0, 0.5])
+    def test_fills_every_zero_column_when_a_mix_is_feasible(self, d,
+                                                            qbar_frac):
+        for seed in range(8):
+            f, g, cfg = self.rank_one_start(910 + seed, qbar_frac, d=d, n_ir=d)
+            assert np.all(np.linalg.norm(f[:, :, 1:], axis=1) == 0.0)
+            out = spread_streams(f, g, cfg)
+            assert np.all(np.linalg.norm(out, axis=1) > 0.0)
+
+    def test_no_feasible_mix_keeps_the_input(self):
+        # at a threshold equal to the rank-one harvest every mix harvests less
+        for seed in range(8):
+            f, g, cfg = self.rank_one_start(920 + seed, 1.0)
+            assert harvested_power_quadratic(f, g) >= cfg.eh_threshold
+            np.testing.assert_array_equal(spread_streams(f, g, cfg), f)
+
+    @pytest.mark.parametrize("qbar_frac", [0.0, 0.5])
+    def test_input_without_a_zero_column_comes_back_unchanged(self,
+                                                             qbar_frac):
+        # a single stream has nothing to fill; a random F no zero column
+        rng = np.random.default_rng(930)
+        for seed in range(8):
+            f, g, cfg = self.rank_one_start(930 + seed, qbar_frac, d=1)
+            np.testing.assert_array_equal(spread_streams(f, g, cfg), f)
+            _, g, cfg = self.rank_one_start(940 + seed, qbar_frac)
+            f = random_precoders(rng, cfg)
+            np.testing.assert_array_equal(spread_streams(f, g, cfg), f)

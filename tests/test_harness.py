@@ -265,8 +265,9 @@ class TestRunExperiment:
         assert means[0] < means[1] < means[2]
 
     def test_rejects_bad_spec(self):
-        with pytest.raises(ValueError):
-            quick_spec(experiment="nonsense")
+        for experiment in ("nonsense", "convergence"):
+            with pytest.raises(ValueError):
+                quick_spec(experiment=experiment)
         with pytest.raises(ValueError):
             quick_spec(sweep=[])
         with pytest.raises(ValueError):

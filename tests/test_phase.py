@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import irs_swipt.phase as phase_module
-from irs_swipt import (Geometry, SystemConfig, effective_channels,
+from irs_swipt import (Geometry, SystemConfig, bcd_solve, effective_channels,
                        feasibility_check, generate_scenario, harvested_power)
 from irs_swipt.bcd import mmse_refresh
-from irs_swipt.feasibility import spread_streams
 from irs_swipt.errors import InfeasibleSubproblemError
 from irs_swipt.linalg import herm
 from irs_swipt.metrics import wmmse_objective
@@ -433,16 +432,16 @@ class TestPhaseSolve:
 
 def first_phase_block(seed, m=40):
     """(U, W, F, channels, phi, config) as the first phase block of a
-    default-config solve sees them: the feasibility check's start, one
-    MMSE refresh and one precoder solve, at M elements, ER 4 m and IR 100 m
-    from the BS.  There the block starts at harvest-maximizing phases,
-    where plain MM crawls."""
+    default-config solve sees them: the solver's start from the feasibility
+    check's point (a zero-sweep solve), one MMSE refresh and one precoder
+    solve, at M elements, ER 4 m and IR 100 m from the BS.  There the block
+    starts at harvest-maximizing phases, where plain MM crawls."""
     cfg = SystemConfig(n_elements=m)
     ch = generate_scenario(cfg, Geometry(er_center=4.0, ir_center=100.0), seed)
-    feasible, f, phi, _, eff = feasibility_check(ch, cfg,
-                                                 return_channels=True)
+    feasible, f, phi, _ = feasibility_check(ch, cfg)
     assert feasible
-    f = spread_streams(f, ch, cfg, phi, eff=eff)
+    f = bcd_solve(ch, cfg, (f, phi), n_max=0).f
+    eff = effective_channels(ch, phi, cfg)
     u, w, _ = mmse_refresh(f, eff, cfg)
     f, _ = sca_precoder_solve(u, w, eff, f, cfg)
     return u, w, f, ch, phi, cfg
