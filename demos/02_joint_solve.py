@@ -25,9 +25,9 @@ report = bcd_solve(channels, config, (f0, phi0))
 print(f"\nconverged in {report.iterations_used} sweeps, "
       f"{report.wall_time_s:.2f} s")
 print("sweep   WSR (bit/s/Hz)   power (W)   harvest (W)")
-for (it, wsr), p, q in zip(report.wsr_trajectory, report.power_trajectory,
-                           report.harvest_trajectory):
-    print(f"{it:5d}   {wsr:14.4f}   {p:9.4f}   {q:.4e}")
+for it, sweep in enumerate(report.sweeps):
+    print(f"{it:5d}   {sweep.wsr_bits:14.4f}   {sweep.power:9.4f}   "
+          f"{sweep.harvest:.4e}")
 
 eff = effective_channels(channels, report.phi, config)
 print(f"\nfinal transmit power {frob_sq(report.f):.4f} of "

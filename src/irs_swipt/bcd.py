@@ -1,7 +1,7 @@
 """Outer block-coordinate descent: precoders, phases, decoders, weights.
 
-A run starts from any feasible (F, phi).  Each full sweep updates F by the
-SCA precoder solver, phi by the MM phase solver, then refreshes U and W in
+A run starts from any feasible (F, phi) and repeats one map, bcd_sweep:
+F by the SCA precoder solver, phi by the MM phase solver, then U and W in
 closed form.  Every block can only improve the weighted-MMSE surrogate,
 and after the U/W refresh the surrogate equals the true weighted sum rate,
 so the rate trajectory is non-decreasing and every iterate stays feasible;
@@ -9,16 +9,14 @@ with M = 0 there is no phase block.
 
 The refresh builds the effective channels once per sweep; the same build
 gives the decoders, the weights, the sweep's rate (log det W_k at the MMSE
-optimum), its harvested power, and the next sweep's precoder block.  The
-refresh is batched over receivers: one solve and one factorization call on
-the stacked per-receiver matrices, with no loop over users.
+optimum), its harvested power, and the next sweep's precoder block.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,42 +36,60 @@ BCD_MAX_ITER = 50
 MAX_CONSECUTIVE_FAILURES = 3
 
 
+@dataclass(frozen=True)
+class Sweep:
+    """One refreshed BCD iterate and its figures; sweep 0 is the start."""
+
+    f: np.ndarray
+    phi: np.ndarray
+    eff: EffectiveChannels                  # effective channels at phi
+    u: np.ndarray                           # MMSE decoders at (f, phi)
+    w: np.ndarray                           # MMSE weights at (f, phi)
+    wsr_bits: float
+    power: float
+    harvest: float
+    precoder_iters: int = 0                 # 0 when the block raised
+    phase_iters: int = 0                    # 0 when it raised or M = 0
+    errors: tuple[tuple[str, str], ...] = ()    # (block, message) per raise
+
+
 @dataclass
 class SolveReport:
-    """Outcome of one BCD run."""
+    """Outcome of one BCD run: its sweeps (none if infeasible), final point."""
 
-    wsr_trajectory: list[tuple[int, float]]     # (outer iteration, WSR bits)
+    sweeps: list[Sweep]
     f: np.ndarray                               # final precoders
     phi: np.ndarray                             # final phases
     feasible: bool
-    precoder_inner_iters: list[int] = field(default_factory=list)
-    phase_inner_iters: list[int] = field(default_factory=list)
-    power_trajectory: list[float] = field(default_factory=list)
-    harvest_trajectory: list[float] = field(default_factory=list)
     wall_time_s: float = 0.0
 
     @property
+    def wsr_trajectory(self) -> list[tuple[int, float]]:
+        return [(i, s.wsr_bits) for i, s in enumerate(self.sweeps)]
+
+    @property
     def iterations_used(self) -> int:
-        return len(self.wsr_trajectory) - 1
+        return max(len(self.sweeps) - 1, 0)
 
     @property
     def wsr_bits(self) -> float:
-        return self.wsr_trajectory[-1][1] if self.wsr_trajectory else 0.0
+        return self.sweeps[-1].wsr_bits if self.sweeps else 0.0
 
     def to_dict(self) -> dict:
+        done = self.sweeps[1:]
         return {
-            "wsr_trajectory": [[int(i), float(r)] for i, r in self.wsr_trajectory],
+            "wsr_trajectory": [[i, float(r)] for i, r in self.wsr_trajectory],
             "wsr_bits": self.wsr_bits,
             "precoders_real": np.real(self.f).tolist(),
             "precoders_imag": np.imag(self.f).tolist(),
             "phases_real": np.real(self.phi).tolist(),
             "phases_imag": np.imag(self.phi).tolist(),
             "feasible": bool(self.feasible),
-            "iterations_used": int(self.iterations_used),
-            "precoder_inner_iters": [int(n) for n in self.precoder_inner_iters],
-            "phase_inner_iters": [int(n) for n in self.phase_inner_iters],
-            "power_trajectory": [float(p) for p in self.power_trajectory],
-            "harvest_trajectory": [float(q) for q in self.harvest_trajectory],
+            "iterations_used": self.iterations_used,
+            "precoder_inner_iters": [s.precoder_iters for s in done],
+            "phase_inner_iters": [s.phase_iters for s in done],
+            "power_trajectory": [s.power for s in self.sweeps],
+            "harvest_trajectory": [s.harvest for s in self.sweeps],
             "wall_time_s": float(self.wall_time_s),
         }
 
@@ -113,15 +129,31 @@ def _check_init(f, phi, eff, config):
         raise ValueError("initial phases are not unit-modulus")
 
 
-def _track(report: SolveReport, iteration: int, f: np.ndarray,
-           eff: EffectiveChannels, wsr_nats: float) -> float:
-    """Append one sweep's rate, power and harvest to the report; returns
-    the rate in bits."""
-    wsr_bits = wsr_nats / LN2
-    report.wsr_trajectory.append((iteration, wsr_bits))
-    report.power_trajectory.append(frob_sq(f))
-    report.harvest_trajectory.append(harvested_power_quadratic(f, eff.g))
-    return wsr_bits
+def _refreshed(f, phi, eff, config, *iters_and_errors) -> Sweep:
+    u, w, wsr_nats = mmse_refresh(f, eff, config)
+    return Sweep(f, phi, eff, u, w, wsr_nats / LN2, frob_sq(f),
+                 harvested_power_quadratic(f, eff.g), *iters_and_errors)
+
+
+def bcd_sweep(prev: Sweep, channels: ChannelSet, config: SystemConfig) -> Sweep:
+    """The sweep after prev: precoder block, phase block iff n_elements > 0,
+    then the U/W refresh at one channel build.  A block that raises
+    SolverError keeps its value, counts 0 iterations and records the error."""
+    f, phi, errors = prev.f, prev.phi, []
+    prec_iters = phase_iters = 0
+    try:
+        f, traj = sca_precoder_solve(prev.u, prev.w, prev.eff, f, config)
+        prec_iters = len(traj) - 1
+    except SolverError as exc:
+        errors.append(("precoder", str(exc)))
+    if config.n_elements:
+        try:
+            phi, traj = phase_solve(prev.u, prev.w, f, channels, phi, config)
+            phase_iters = len(traj) - 1
+        except SolverError as exc:
+            errors.append(("phase", str(exc)))
+    return _refreshed(f, phi, effective_channels(channels, phi, config),
+                      config, prec_iters, phase_iters, tuple(errors))
 
 
 def bcd_solve(channels: ChannelSet, config: SystemConfig,
@@ -130,61 +162,29 @@ def bcd_solve(channels: ChannelSet, config: SystemConfig,
     """Run block coordinate descent from any feasible (F, phi) pair.
 
     No block moves a precoder column off zero, so the checked start's zero
-    stream columns are filled first (spread_streams): feasibility_check's
-    rank-one F is spread over the streams, a start with no zero column is
-    kept as given.  The phase block runs iff config.n_elements > 0 (the
-    baselines run on a surface-free channel set).  A failed inner solve
-    keeps the previous block value, records 0 inner iterations and
-    continues; after MAX_CONSECUTIVE_FAILURES failed sweeps in a row the
-    run aborts.
+    stream columns are filled first (spread_streams).  bcd_sweep then runs
+    until the relative WSR change is under eps or n_max sweeps are done;
+    MAX_CONSECUTIVE_FAILURES failed sweeps in a row abort the run.
     """
     t0 = time.perf_counter()
-    f, phi = init
-    f = np.asarray(f, dtype=complex)
-    phi = np.asarray(phi, dtype=complex)
+    f, phi = (np.asarray(x, dtype=complex) for x in init)
     eff = effective_channels(channels, phi, config)
     _check_init(f, phi, eff, config)
-    f = spread_streams(f, eff.g, config)
-
-    report = SolveReport(wsr_trajectory=[], f=f, phi=phi, feasible=True)
-    u, w, wsr_nats = mmse_refresh(f, eff, config)
-    _track(report, 0, f, eff, wsr_nats)
+    sweeps = [_refreshed(spread_streams(f, eff.g, config), phi, eff, config)]
 
     failures = 0
     for n in range(1, n_max + 1):
-        failed = False
-        prec_iters = phase_iters = 0
-        try:
-            f, prec_traj = sca_precoder_solve(u, w, eff, f, config)
-            prec_iters = len(prec_traj) - 1
-        except SolverError as exc:
-            log.warning("precoder block failed at sweep %d: %s", n, exc)
-            failed = True
-
-        if config.n_elements:
-            try:
-                phi, phase_traj = phase_solve(u, w, f, channels, phi, config)
-                phase_iters = len(phase_traj) - 1
-            except SolverError as exc:
-                log.warning("phase block failed at sweep %d: %s", n, exc)
-                failed = True
-        report.precoder_inner_iters.append(prec_iters)
-        report.phase_inner_iters.append(phase_iters)
-
-        eff = effective_channels(channels, phi, config)
-        u, w, wsr_nats = mmse_refresh(f, eff, config)
-
-        failures = failures + 1 if failed else 0
+        sweep = bcd_sweep(sweeps[-1], channels, config)
+        for block, message in sweep.errors:
+            log.warning("%s block failed at sweep %d: %s", block, n, message)
+        failures = failures + 1 if sweep.errors else 0
         if failures >= MAX_CONSECUTIVE_FAILURES:
-            raise SolverError(
-                f"{failures} consecutive failed BCD sweeps; last WSR "
-                f"{report.wsr_bits:.6f} bit/s/Hz")
-
-        wsr_bits = _track(report, n, f, eff, wsr_nats)
-        prev = report.wsr_trajectory[-2][1]
-        if abs(wsr_bits - prev) < eps * max(abs(wsr_bits), 1e-30):
+            raise SolverError(f"{failures} consecutive failed BCD sweeps; "
+                              f"last WSR {sweeps[-1].wsr_bits:.6f} bit/s/Hz")
+        sweeps.append(sweep)
+        rate = sweep.wsr_bits
+        if abs(rate - sweeps[-2].wsr_bits) < eps * max(abs(rate), 1e-30):
             break
 
-    report.f, report.phi = f, phi
-    report.wall_time_s = time.perf_counter() - t0
-    return report
+    return SolveReport(sweeps, sweeps[-1].f, sweeps[-1].phi, True,
+                       time.perf_counter() - t0)

@@ -146,8 +146,7 @@ def solve_with_init(channels: ChannelSet, config: SystemConfig,
     """Feasibility check, then bcd_solve from the point it returns."""
     feasible, f0, phi0, _ = feasibility_check(channels, config)
     if not feasible:
-        return SolveReport(wsr_trajectory=[(0, 0.0)], f=f0, phi=phi0,
-                           feasible=False)
+        return SolveReport(sweeps=[], f=f0, phi=phi0, feasible=False)
     return bcd_solve(channels, config, (f0, phi0), n_max=n_max)
 
 
@@ -170,22 +169,23 @@ def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int,
     channels = generate_scenario(config, geometry, seed)
     if method == "no-irs":
         channels, config = surface_free(channels, config)
-    elif method == "fixed-phase":
-        phi = feasibility_check(channels, config)[2]
-        channels, config = surface_free(channels, config, phi)
 
     if spec.experiment == HARVEST_ONLY:
         feasible, q = _max_harvest(channels, config)
         wsr, iters = 0.0, 0
     else:
-        try:
-            report = solve_with_init(channels, config)
-            feasible = report.feasible
-            wsr = report.wsr_bits if feasible else 0.0
-            iters = report.iterations_used
-            q = report.harvest_trajectory[-1] if feasible else 0.0
-        except SolverError:
-            feasible, wsr, iters, q = False, 0.0, 0, 0.0
+        feasible, f0, phi0, _ = feasibility_check(channels, config)
+        if method == "fixed-phase":
+            channels, config = surface_free(channels, config, phi0)
+            phi0 = phi0[:0]
+        wsr, iters, q = 0.0, 0, 0.0
+        if feasible:
+            try:
+                report = bcd_solve(channels, config, (f0, phi0))
+                wsr, iters = report.wsr_bits, report.iterations_used
+                q = report.sweeps[-1].harvest
+            except SolverError:
+                feasible = False
 
     wall = time.perf_counter() - t0 if spec.record_timings else 0.0
     return TrialResult(experiment=spec.experiment, sweep_value=float(value),

@@ -193,9 +193,9 @@ def test_criterion_05_bcd_monotone_convergence(bcd_runs):
 def test_criterion_06_constraint_invariance(bcd_runs):
     """Power <= P_T (1 + 1e-6) and Q >= Qbar (1 - 1e-6) at every sweep."""
     for cfg, ch, rep in bcd_runs:
-        for p in rep.power_trajectory:
+        for p in [s.power for s in rep.sweeps]:
             assert p <= cfg.power_budget * (1.0 + 1e-6)
-        for q in rep.harvest_trajectory:
+        for q in [s.harvest for s in rep.sweeps]:
             assert q >= cfg.eh_threshold * (1.0 - 1e-6)
     report("[C6 PASS] every BCD iterate satisfied the power and harvest "
            "constraints at tolerance 1e-6")

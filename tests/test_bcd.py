@@ -5,10 +5,11 @@ import irs_swipt.bcd as bcd_module
 from irs_swipt import (SolverError, bcd_solve, effective_channels,
                        feasibility_check, harvested_power_quadratic,
                        solve_with_init, weighted_sum_rate)
-from irs_swipt.bcd import mmse_refresh
+from irs_swipt.bcd import Sweep, bcd_sweep, mmse_refresh
 from irs_swipt.errors import ConditioningError
+from irs_swipt.feasibility import spread_streams
 from irs_swipt.linalg import frob_sq, inverse_logdet_pd
-from irs_swipt.metrics import mse_matrix, surface_free, wmmse_objective
+from irs_swipt.metrics import LN2, mse_matrix, surface_free, wmmse_objective
 from irs_swipt.phase import phase_solve
 from irs_swipt.precoder import sca_precoder_solve
 
@@ -32,6 +33,12 @@ def feasible_instance(rng, cfg, qbar_frac=0.5, sigma2=1.0):
 
 def refresh(f, phi, ch, cfg):
     return mmse_refresh(f, effective_channels(ch, phi, cfg), cfg)
+
+
+def figures(sweep):
+    """A sweep record's figures, without its arrays."""
+    return (sweep.wsr_bits, sweep.power, sweep.harvest, sweep.precoder_iters,
+            sweep.phase_iters, sweep.errors)
 
 
 class TestBatchedRefresh:
@@ -153,15 +160,16 @@ class TestBcdSolve:
         monkeypatch.setattr(bcd_module, "sca_precoder_solve", fails_once)
         report = bcd_solve(ch, cfg_q, (f0, phi0))
         assert len(calls) >= 2
-        # one inner-iteration entry per sweep, 0 for the failed precoder
-        # block and for a phase block that does not run
-        assert report.precoder_inner_iters[0] == 0
-        assert (len(report.precoder_inner_iters)
-                == len(report.phase_inner_iters) == report.iterations_used)
+        # the failed sweep keeps its precoders, counts 0 precoder
+        # iterations and records the failure; its phase block still runs
+        failed = report.sweeps[1]
+        assert failed.errors == (("precoder", "injected precoder failure"),)
+        assert failed.precoder_iters == 0 and failed.phase_iters > 0
+        np.testing.assert_array_equal(failed.f, report.sweeps[0].f)
+        assert all(s.errors == () for s in report.sweeps[2:])
         bare = solve_with_init(*surface_free(ch, bench_config(m=5)))
         assert bare.feasible and bare.iterations_used >= 1
-        assert len(bare.precoder_inner_iters) == bare.iterations_used
-        assert bare.phase_inner_iters == [0] * bare.iterations_used
+        assert all(s.phase_iters == 0 for s in bare.sweeps)
         rates = [r for _, r in report.wsr_trajectory]
         for a, b in zip(rates, rates[1:]):
             assert b >= a - 1e-9
@@ -267,11 +275,44 @@ class TestBcdSolve:
             out = solve_with_init(ch, cfg_q)
             np.testing.assert_array_equal(out.f, ref.f)
             np.testing.assert_array_equal(out.phi, ref.phi)
-            for name in ("wsr_trajectory", "power_trajectory",
-                         "harvest_trajectory", "precoder_inner_iters",
-                         "phase_inner_iters"):
-                assert getattr(out, name) == getattr(ref, name)
-            assert out.iterations_used == ref.iterations_used
+            assert ([figures(s) for s in out.sweeps]
+                    == [figures(s) for s in ref.sweeps])
+
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_bcd_sweep_by_hand_is_the_solve(self, m):
+        # sweep 0 is the spread start with U, W refreshed; every later
+        # record is bcd_sweep of the one before, to the bit
+        rng = np.random.default_rng(510 + m)
+        ch, cfg_q, f0, phi0 = feasible_instance(rng, bench_config(m=m))
+        report = bcd_solve(ch, cfg_q, (f0, phi0))
+        assert report.iterations_used >= 2
+        eff = effective_channels(ch, phi0, cfg_q)
+        f = spread_streams(f0, eff.g, cfg_q)
+        u, w, nats = mmse_refresh(f, eff, cfg_q)
+        sweep = Sweep(f, phi0, eff, u, w, nats / LN2, frob_sq(f),
+                      harvested_power_quadratic(f, eff.g))
+        for n, recorded in enumerate(report.sweeps):
+            if n:
+                sweep = bcd_sweep(sweep, ch, cfg_q)
+            assert figures(sweep) == figures(recorded)
+            for name in ("f", "phi", "u", "w"):
+                assert (getattr(sweep, name).tobytes()
+                        == getattr(recorded, name).tobytes())
+        assert report.f.tobytes() == sweep.f.tobytes()
+        assert report.phi.tobytes() == sweep.phi.tobytes()
+
+    def test_infeasible_start_reports_no_sweeps(self):
+        rng = np.random.default_rng(511)
+        cfg = bench_config(m=5, qbar=1e12)
+        report = solve_with_init(random_channels(rng, cfg), cfg)
+        assert not report.feasible and report.sweeps == []
+        assert report.wsr_bits == 0.0 and report.iterations_used == 0
+        assert report.wsr_trajectory == []
+        doc = report.to_dict()
+        assert doc["wsr_trajectory"] == [] and doc["iterations_used"] == 0
+        for name in ("precoder_inner_iters", "phase_inner_iters",
+                     "power_trajectory", "harvest_trajectory"):
+            assert doc[name] == []
 
     def test_no_irs_reduction_matches_precoder_only(self):
         rng = np.random.default_rng(4)

@@ -150,6 +150,17 @@ class TestScenarioCommands:
         assert all(b[1] >= a[1] - 1e-9 for a, b in zip(trajectory,
                                                        trajectory[1:]))
 
+    def test_solve_infeasible_scenario(self, tmp_path, capsys):
+        doc = scenario_doc()
+        doc["config"]["eh_threshold"] = 1e3
+        scen = write(tmp_path, "scen.json", doc)
+        assert main(["solve", scen]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["feasible"] is False
+        assert doc["wsr_bits"] == 0.0 and doc["iterations_used"] == 0
+        assert doc["wsr_trajectory"] == []
+        assert len(doc["phases_real"]) == 10
+
     def test_solve_stdout_is_json(self, tmp_path, capsys):
         scen = write(tmp_path, "scen.json", scenario_doc())
         assert main(["solve", scen]) == 0

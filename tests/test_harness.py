@@ -198,10 +198,20 @@ class TestRunTrial:
         else:
             report = solve_with_init(ch, config)
             assert report.feasible
-            expected = (report.wsr_bits, report.harvest_trajectory[-1],
+            expected = (report.wsr_bits, report.sweeps[-1].harvest,
                         report.iterations_used)
         assert cell.feasible
         assert (cell.wsr_bits, cell.q_watts, cell.iterations) == expected
+
+    @pytest.mark.parametrize("method", ["bcd", "no-irs", "fixed-phase"])
+    def test_one_feasibility_check_per_cell(self, monkeypatch, method):
+        # fixed-phase solves at the full draw's check point, M = 0, with no
+        # second check on the surface-free set
+        spec = quick_spec(sweep=[8.0], trials=3, methods=(method,))
+        calls = count_calls(monkeypatch, harness, "feasibility_check")
+        results = run_experiment(spec)
+        assert all(r.feasible and r.iterations >= 1 for r in results)
+        assert len(calls) == len(results)
 
 
 class TestRunExperiment:
