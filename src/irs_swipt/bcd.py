@@ -1,11 +1,11 @@
 """Outer block-coordinate descent: precoders, phases, decoders, weights.
 
 A run starts from any feasible (F, phi) and repeats one map, bcd_sweep:
-F by the SCA precoder solver, phi by the MM phase solver, then U and W in
-closed form.  Every block can only improve the weighted-MMSE surrogate,
-and after the U/W refresh the surrogate equals the true weighted sum rate,
-so the rate trajectory is non-decreasing and every iterate stays feasible;
-with M = 0 there is no phase block.
+F by the SCA precoder solver, phi by the MM phase solver (none at M = 0),
+then U and W in closed form.  Every block keeps a feasible input feasible
+(bcd_solve checks every sweep record) and can only improve the weighted-MMSE
+surrogate, which equals the true weighted sum rate after the U/W refresh,
+so the rate trajectory is non-decreasing.
 
 The refresh builds the effective channels once per sweep; the same build
 gives the decoders, the weights, the sweep's rate (log det W_k at the MMSE
@@ -60,8 +60,11 @@ class SolveReport:
     sweeps: list[Sweep]
     f: np.ndarray                               # final precoders
     phi: np.ndarray                             # final phases
-    feasible: bool
     wall_time_s: float = 0.0
+
+    @property
+    def feasible(self) -> bool:
+        return bool(self.sweeps)
 
     @property
     def wsr_trajectory(self) -> list[tuple[int, float]]:
@@ -84,7 +87,7 @@ class SolveReport:
             "precoders_imag": np.imag(self.f).tolist(),
             "phases_real": np.real(self.phi).tolist(),
             "phases_imag": np.imag(self.phi).tolist(),
-            "feasible": bool(self.feasible),
+            "feasible": self.feasible,
             "iterations_used": self.iterations_used,
             "precoder_inner_iters": [s.precoder_iters for s in done],
             "phase_inner_iters": [s.phase_iters for s in done],
@@ -118,21 +121,27 @@ def mmse_refresh(f: np.ndarray, eff: EffectiveChannels,
     return u, w, -float(np.sum(np.multiply(config.rate_weights, logdet_e)))
 
 
-def _check_init(f, phi, eff, config):
-    power = frob_sq(f)
-    harvest = harvested_power_quadratic(f, eff.g)
+def _check_point(power, harvest, config, what):
+    """The invariant every block assumes of its input, to 1e-6 relative."""
     if power > config.power_budget * (1.0 + 1e-6):
-        raise ValueError("initial precoders exceed the power budget")
+        raise ValueError(f"{what} exceeds the power budget")
     if harvest < config.eh_threshold * (1.0 - 1e-6):
-        raise ValueError("initial point violates the harvest constraint")
+        raise ValueError(f"{what} violates the harvest constraint")
+
+
+def _check_init(f, phi, eff, config):
+    _check_point(frob_sq(f), harvested_power_quadratic(f, eff.g), config,
+                 "initial point")
     if config.n_elements and np.max(np.abs(np.abs(phi) - 1.0)) > 1e-9:
         raise ValueError("initial phases are not unit-modulus")
 
 
 def _refreshed(f, phi, eff, config, *iters_and_errors) -> Sweep:
     u, w, wsr_nats = mmse_refresh(f, eff, config)
-    return Sweep(f, phi, eff, u, w, wsr_nats / LN2, frob_sq(f),
-                 harvested_power_quadratic(f, eff.g), *iters_and_errors)
+    sweep = Sweep(f, phi, eff, u, w, wsr_nats / LN2, frob_sq(f),
+                  harvested_power_quadratic(f, eff.g), *iters_and_errors)
+    _check_point(sweep.power, sweep.harvest, config, "BCD iterate")
+    return sweep
 
 
 def bcd_sweep(prev: Sweep, channels: ChannelSet, config: SystemConfig) -> Sweep:
@@ -186,5 +195,5 @@ def bcd_solve(channels: ChannelSet, config: SystemConfig,
         if abs(rate - sweeps[-2].wsr_bits) < eps * max(abs(rate), 1e-30):
             break
 
-    return SolveReport(sweeps, sweeps[-1].f, sweeps[-1].phi, True,
+    return SolveReport(sweeps, sweeps[-1].f, sweeps[-1].phi,
                        time.perf_counter() - t0)

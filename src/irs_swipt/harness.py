@@ -143,11 +143,13 @@ def apply_sweep(experiment: str, config: SystemConfig, geometry: Geometry,
 
 def solve_with_init(channels: ChannelSet, config: SystemConfig,
                     n_max: int = BCD_MAX_ITER) -> SolveReport:
-    """Feasibility check, then bcd_solve from the point it returns."""
+    """Feasibility check, then bcd_solve from its point; timed together."""
+    t0 = time.perf_counter()
     feasible, f0, phi0, _ = feasibility_check(channels, config)
-    if not feasible:
-        return SolveReport(sweeps=[], f=f0, phi=phi0, feasible=False)
-    return bcd_solve(channels, config, (f0, phi0), n_max=n_max)
+    report = (bcd_solve(channels, config, (f0, phi0), n_max=n_max)
+              if feasible else SolveReport(sweeps=[], f=f0, phi=phi0))
+    report.wall_time_s = time.perf_counter() - t0
+    return report
 
 
 def _max_harvest(channels: ChannelSet,

@@ -153,14 +153,12 @@ def _form_value(proj: np.ndarray, phi: np.ndarray, lin_conj: np.ndarray) -> floa
 
 def phase_objective(phi: np.ndarray, data: PhaseQcqpData) -> float:
     """f(phi) = phi^H Xi phi + 2 Re{phi^H v*}."""
-    r = data.xi_factor.shape[1]
-    return _form_value(phi @ data.factors_conj[:, :r], phi, data.v_conj)
+    return _form_value(phi @ data.factors_conj[:, :data.r], phi, data.v_conj)
 
 
 def reflect_harvest(phi: np.ndarray, data: PhaseQcqpData) -> float:
     """Phase-dependent harvest term phi^H Upsilon phi + 2 Re{phi^H g*}."""
-    r = data.xi_factor.shape[1]
-    return _form_value(phi @ data.factors_conj[:, r:], phi, data.g_conj)
+    return _form_value(phi @ data.factors_conj[:, data.r:], phi, data.g_conj)
 
 
 def true_harvest(phi: np.ndarray, data: PhaseQcqpData) -> float:
@@ -174,9 +172,8 @@ def mm_prepare(data: PhaseQcqpData, phi_anchor: np.ndarray) -> MmState:
     q_hat = q_resid + anchor^H Upsilon anchor.  One product with the stacked
     conj([X Y]) projects the anchor onto both factors, which also gives
     f(anchor) and the reflected harvest there."""
-    r = data.xi_factor.shape[1]
     proj = phi_anchor @ data.factors_conj      # [X Y]^H anchor
-    x_proj, y_proj = proj[:r], proj[r:]
+    x_proj, y_proj = proj[:data.r], proj[data.r:]
     upsilon_form = float(np.vdot(y_proj, y_proj).real)
     return MmState(
         anchor=phi_anchor,
@@ -253,40 +250,30 @@ def _squarem_point(phi0: np.ndarray, phi1: np.ndarray,
 
 def phase_solve(u: np.ndarray, w: np.ndarray, f: np.ndarray,
                 channels: ChannelSet, phi_init: np.ndarray,
-                config: SystemConfig, eps: float = MM_EPS,
-                n_max: int = MM_MAX_ITER
-                ) -> tuple[np.ndarray, list[PhaseIterate]]:
-    """SQUAREM-accelerated MM over priced subproblems, at most n_max maps.
+                config: SystemConfig) -> tuple[np.ndarray, list[PhaseIterate]]:
+    """SQUAREM-accelerated MM over priced subproblems, up to MM_MAX_ITER maps.
 
-    phi_init must be unit-modulus and satisfy the true harvest constraint;
-    every iterate then remains feasible and f(phi) is non-increasing.  The
-    trajectory holds phi_init and one entry per MM map; the loop stops when
-    f changes by at most eps relative over one map.
+    Needs M > 0 and a unit-modulus phi_init that meets the true harvest
+    constraint with f (bcd_solve checks every sweep); every iterate then
+    remains feasible and f(phi) is non-increasing.  The trajectory holds
+    phi_init and one entry per MM map; the loop stops when f changes by at
+    most MM_EPS relative over one map.
     """
-    phi = np.asarray(phi_init, dtype=complex)
     data = assemble_phase_qcqp(u, w, f, channels, config)
-    if phi.shape != (config.n_elements,):
-        raise ValueError("phi_init has the wrong length")
-    if config.n_elements == 0:
-        return phi, [PhaseIterate(0.0, data.direct_harvest)]
-    if np.max(np.abs(np.abs(phi) - 1.0)) > 1e-9:
-        raise ValueError("phi_init is not unit-modulus")
-    state = mm_prepare(data, phi)
+    state = mm_prepare(data, np.asarray(phi_init, dtype=complex))
     trajectory = [PhaseIterate(state.objective,
                                state.reflected + data.direct_harvest)]
-    if trajectory[0].harvest < config.eh_threshold * (1.0 - 1e-6):
-        raise ValueError("phi_init violates the harvest constraint")
 
     def mm_map(start: MmState) -> tuple[MmState, bool]:
-        """T(start), recorded; True once f has settled or n_max maps ran."""
+        """T(start), recorded; True once f has settled or the maps ran out."""
         nxt = mm_prepare(data, price_bisection(start, data)[0])
         f_prev, f_new = trajectory[-1].objective, nxt.objective
         trajectory.append(PhaseIterate(f_new,
                                        nxt.reflected + data.direct_harvest))
-        return nxt, (len(trajectory) > n_max
-                     or abs(f_new - f_prev) <= eps * max(abs(f_new), 1e-30))
+        return nxt, (len(trajectory) > MM_MAX_ITER or abs(f_new - f_prev)
+                     <= MM_EPS * max(abs(f_new), 1e-30))
 
-    done = n_max < 1
+    done = MM_MAX_ITER < 1
     while not done:
         start = state
         state, done = mm_map(start)

@@ -176,21 +176,16 @@ def sca_objective(f: np.ndarray, data: QuadraticData) -> float:
 
 
 def sca_precoder_solve(u: np.ndarray, w: np.ndarray, eff: EffectiveChannels,
-                       f_init: np.ndarray, config: SystemConfig,
-                       eps: float = SCA_EPS, n_max: int = SCA_MAX_ITER
+                       f_init: np.ndarray, config: SystemConfig
                        ) -> tuple[np.ndarray, list[PrecoderIterate]]:
     """Iterate the harvest linearization to a KKT point of the precoder block.
 
     eff holds the effective channels at the current phases.  f_init must
-    satisfy both the power budget and the true harvest constraint; every
-    iterate then stays feasible and z is non-increasing.
+    meet the power budget and the true harvest constraint (bcd_solve checks
+    every sweep); every iterate then stays feasible and z is non-increasing.
     """
     p_t, qbar = config.power_budget, config.eh_threshold
     q0 = harvested_power_quadratic(f_init, eff.g)
-    if frob_sq(f_init) > p_t * (1.0 + 1e-6):
-        raise ValueError("f_init exceeds the power budget")
-    if q0 < qbar * (1.0 - 1e-6):
-        raise ValueError("f_init violates the harvest constraint")
     if qbar > 0.0 and q0 <= qbar * (1.0 + 1e-9):
         # Strict feasibility is needed for zero duality gap; back the
         # threshold off by a relative 1e-9 when the start meets it exactly.
@@ -201,13 +196,13 @@ def sca_precoder_solve(u: np.ndarray, w: np.ndarray, eff: EffectiveChannels,
     f = f_init
     data = build_quadratic(u, w, eff, f, config, eh_threshold=qbar)
     trajectory = [PrecoderIterate(sca_objective(f, data), frob_sq(f), q0)]
-    for it in range(n_max):
+    for it in range(SCA_MAX_ITER):
         if it:
             data = data.with_anchor(f, qbar)
         f, _, _ = dual_bisection(data, p_t)
         z = sca_objective(f, data)
         trajectory.append(PrecoderIterate(
             z, frob_sq(f), harvested_power_quadratic(f, eff.g)))
-        if abs(z - trajectory[-2].objective) < eps * max(abs(z), 1e-30):
+        if abs(z - trajectory[-2].objective) < SCA_EPS * max(abs(z), 1e-30):
             break
     return f, trajectory

@@ -357,6 +357,25 @@ class TestBcdSolve:
         with pytest.raises(ValueError):
             bcd_solve(ch, cfg, (f, phi))
 
+    @pytest.mark.parametrize("scale", [2.0, 0.0])
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_infeasible_sweep_is_rejected(self, monkeypatch, m, scale):
+        # a precoder step that leaves the feasible set (over the budget or
+        # below the harvest threshold) must not come back as a feasible
+        # report: the check on the sweep record catches it even when no
+        # later block reads the precoders
+        rng = np.random.default_rng(512 + m)
+        ch, cfg_q, f0, phi0 = feasible_instance(rng, bench_config(m=m))
+        real = bcd_module.sca_precoder_solve
+
+        def faulty(*args):
+            f, traj = real(*args)
+            return scale * f, traj
+
+        monkeypatch.setattr(bcd_module, "sca_precoder_solve", faulty)
+        with pytest.raises(ValueError, match="BCD iterate"):
+            bcd_solve(ch, cfg_q, (f0, phi0), n_max=1)
+
     def test_single_user_reaches_waterfilling_capacity(self):
         for seed in range(5):
             rng = np.random.default_rng(700 + seed)

@@ -159,6 +159,7 @@ class TestScenarioCommands:
         assert doc["feasible"] is False
         assert doc["wsr_bits"] == 0.0 and doc["iterations_used"] == 0
         assert doc["wsr_trajectory"] == []
+        assert doc["wall_time_s"] > 0
         assert len(doc["phases_real"]) == 10
 
     def test_solve_stdout_is_json(self, tmp_path, capsys):

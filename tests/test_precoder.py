@@ -10,7 +10,7 @@ from irs_swipt.precoder import (QuadraticData, _probe, build_quadratic,
                                 precoder_closed_form, sca_objective,
                                 sca_precoder_solve)
 
-from helpers import (bench_config, crandn, mu_per_user, pg_quadratic_solver,
+from helpers import (bench_config, crandn, mu_per_user,
                      precoder_terms_per_user, project_ball_halfspace,
                      random_precoders, sca_objective_per_user, wmmse_state)
 
@@ -383,6 +383,8 @@ class TestScaSolve:
             return real(data, f_anchor, eh_threshold)
 
         monkeypatch.setattr(QuadraticData, "with_anchor", counted)
+        monkeypatch.setattr(precoder, "SCA_EPS", eps)
+        monkeypatch.setattr(precoder, "SCA_MAX_ITER", n_max)
         for seed in range(10):
             rng = np.random.default_rng(3100 + seed)
             cfg = bench_config()
@@ -391,30 +393,22 @@ class TestScaSolve:
             qbar = 0.6 * harvested_power_quadratic(f, eff.g)
             cfg_q = bench_config(qbar=qbar)
             anchors.clear()
-            f_out, traj = sca_precoder_solve(u, w, eff, f, cfg_q, eps=eps,
-                                             n_max=n_max)
+            f_out, traj = sca_precoder_solve(u, w, eff, f, cfg_q)
             iterations = len(traj) - 1
             assert iterations >= 2
             assert len(anchors) == iterations - 1
             assert anchors[-1] is not f_out
 
-    def test_rejects_infeasible_start(self):
-        rng = np.random.default_rng(18)
-        cfg = bench_config(qbar=1e6)
-        ch, phi, f, u, w = wmmse_state(rng, cfg)
-        eff = effective_channels(ch, phi, cfg)
-        with pytest.raises(ValueError):
-            sca_precoder_solve(u, w, eff, f, cfg)
-
-    def test_kkt_residuals_at_convergence(self):
+    def test_kkt_residuals_at_convergence(self, monkeypatch):
         rng = np.random.default_rng(19)
         cfg = bench_config()
         ch, phi, f, u, w = wmmse_state(rng, cfg)
         eff = effective_channels(ch, phi, cfg)
         qbar = 0.6 * harvested_power_quadratic(f, eff.g)
         cfg_q = bench_config(qbar=qbar)
-        f_star, _ = sca_precoder_solve(u, w, eff, f, cfg_q, eps=1e-10,
-                                       n_max=300)
+        monkeypatch.setattr(precoder, "SCA_EPS", 1e-10)
+        monkeypatch.setattr(precoder, "SCA_MAX_ITER", 300)
+        f_star, _ = sca_precoder_solve(u, w, eff, f, cfg_q)
         data = build_quadratic(u, w, eff, f_star, cfg_q)
         f_fix, lam, mu = dual_bisection(data, cfg_q.power_budget)
         # stationarity of the inner Lagrangian at the fixed point
@@ -428,18 +422,3 @@ class TestScaSolve:
         lin_h = 2.0 * sum(float(np.real(np.vdot(data.gfa[k], f_fix[k])))
                           for k in range(cfg_q.n_irs))
         assert abs(mu * (lin_h - data.q_tilde)) < 1e-6 * max(1.0, mu)
-
-
-class TestProjectedGradientOracle:
-    def test_matches_dual_solution(self):
-        for seed in range(8):
-            rng = np.random.default_rng(4000 + seed)
-            cfg = bench_config(n_bs=3, n_ir=2, d=1, k_i=2, m=3)
-            data, cfg, eff = random_data(rng, cfg=cfg)
-            p_t = tight_budget(data, 0.4)
-            f_dual, lam, mu = dual_bisection(data, p_t)
-            z_dual = sca_objective(f_dual, data)
-            f_pg, z_pg = pg_quadratic_solver(
-                data.a, data.lin, data.gfa, data.q_tilde, p_t,
-                f_start=data.f_anchor, iters=12000)
-            assert abs(z_pg - z_dual) < 1e-4 * max(abs(z_dual), abs(z_pg), 1e-9)
