@@ -74,11 +74,9 @@ class ExperimentSpec:
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         d = dict(d)
         if "config" in d:
-            d["config"] = SystemConfig.from_dict(d["config"])
+            d["config"] = SystemConfig(**d["config"])
         if "geometry" in d:
-            d["geometry"] = Geometry.from_dict(d["geometry"])
-        if "methods" in d:
-            d["methods"] = tuple(d["methods"])
+            d["geometry"] = Geometry(**d["geometry"])
         d["sweep"] = [float(x) for x in d["sweep"]]
         return cls(**d)
 

@@ -33,18 +33,19 @@ whose global optimum is phi_m = exp(j arg(q_m + p w_m)) for a price p >= 0
 chosen so the constraint slackness J(p) = 2 Re{phi(p)^H w} hits q_hat;
 J is non-decreasing in p, so the shared bracketed root search applies.
 
-One MM map T(phi) is that priced solve at the anchor phi, prepared as the
-next anchor.  phase_solve accelerates the map sequence with SQUAREM
-(Varadhan & Roland 2008): from phi_0 it takes phi_1 = T(phi_0) and
-phi_2 = T(phi_1), forms r = phi_1 - phi_0, v = phi_2 - phi_1 - r and the step
-alpha = min(-|r|/|v|, -1), and projects phi_0 - 2 alpha r + alpha^2 v to unit
-modulus.  alpha = -1 gives phi_2 itself (plain MM).  The extrapolated point
-is kept only if it meets the true harvest constraint and f there is no
-higher than f(phi_2); then one stabilizing map T is taken from it,
-otherwise the cycle restarts from phi_2.  Every T counts against the map
-budget and adds one trajectory entry, and the extrapolated point is never
-returned unmapped, so each recorded iterate is a feasible MM output and f
-never rises along the trajectory.
+One MM map T(phi), price_bisection, is that priced solve at the anchor
+phi, prepared as the next anchor.  phase_solve accelerates the map
+sequence with SQUAREM (Varadhan & Roland 2008): from phi_0 it takes
+phi_1 = T(phi_0) and phi_2 = T(phi_1), forms r = phi_1 - phi_0,
+v = phi_2 - phi_1 - r and the step alpha = min(-|r|/|v|, -1), and projects
+phi_0 - 2 alpha r + alpha^2 v to unit modulus.  alpha = -1 gives phi_2
+itself (plain MM).  The extrapolated point is kept only if it meets the
+true harvest constraint and f there is no higher than f(phi_2); then one
+stabilizing map T is taken from it, otherwise the cycle restarts from
+phi_2.  Every T counts against the map budget and adds one trajectory
+entry, and the extrapolated point is never returned unmapped, so each
+recorded iterate is a feasible MM output and f never rises along the
+trajectory.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class MmState:
     q_hat: float            # linearized harvest right-hand side
     w: np.ndarray           # g* + Upsilon anchor, the linearized harvest gradient
     objective: float        # f(anchor)
-    reflected: float        # reflect_harvest(anchor)
+    reflected: float        # anchor^H Upsilon anchor + 2 Re{anchor^H g*}
 
 
 class PhaseIterate(NamedTuple):
@@ -146,26 +147,6 @@ def assemble_phase_qcqp(u: np.ndarray, w: np.ndarray, f: np.ndarray,
                          lam_max=lam_max, direct_harvest=direct)
 
 
-def _form_value(proj: np.ndarray, phi: np.ndarray, lin_conj: np.ndarray) -> float:
-    """phi^H F F^H phi + 2 Re{phi^H lin*} from the projection F^H phi."""
-    return float(np.vdot(proj, proj).real + 2.0 * np.vdot(phi, lin_conj).real)
-
-
-def phase_objective(phi: np.ndarray, data: PhaseQcqpData) -> float:
-    """f(phi) = phi^H Xi phi + 2 Re{phi^H v*}."""
-    return _form_value(phi @ data.factors_conj[:, :data.r], phi, data.v_conj)
-
-
-def reflect_harvest(phi: np.ndarray, data: PhaseQcqpData) -> float:
-    """Phase-dependent harvest term phi^H Upsilon phi + 2 Re{phi^H g*}."""
-    return _form_value(phi @ data.factors_conj[:, data.r:], phi, data.g_conj)
-
-
-def true_harvest(phi: np.ndarray, data: PhaseQcqpData) -> float:
-    """Total weighted harvested power at phi."""
-    return reflect_harvest(phi, data) + data.direct_harvest
-
-
 def mm_prepare(data: PhaseQcqpData, phi_anchor: np.ndarray) -> MmState:
     """Majorize at the anchor: q = (lam_max I - Xi) anchor - v*, and the
     harvest bound 2 Re{phi^H w} >= q_hat with w = g* + Upsilon anchor and
@@ -180,7 +161,8 @@ def mm_prepare(data: PhaseQcqpData, phi_anchor: np.ndarray) -> MmState:
         q=data.lam_max * phi_anchor - data.xi_factor @ x_proj - data.v_conj,
         q_hat=data.q_resid + upsilon_form,
         w=data.g_conj + data.upsilon_factor @ y_proj,
-        objective=_form_value(x_proj, phi_anchor, data.v_conj),
+        objective=float(np.vdot(x_proj, x_proj).real
+                        + 2.0 * np.vdot(phi_anchor, data.v_conj).real),
         reflected=upsilon_form
         + 2.0 * float(np.vdot(phi_anchor, data.g_conj).real))
 
@@ -197,8 +179,9 @@ def eh_slack(p: float, state: MmState) -> float:
 
 
 def price_bisection(state: MmState,
-                    data: PhaseQcqpData) -> tuple[np.ndarray, float]:
-    """Find the price making the linearized harvest constraint tight.
+                    data: PhaseQcqpData) -> tuple[MmState, float]:
+    """One MM map: the priced solve at the anchor, prepared as the next
+    anchor, and the price that made the linearized harvest bound tight.
 
     Case I: the unpriced solution is kept at p = 0 when it satisfies the
     linearized constraint, or the true harvest constraint directly (the
@@ -209,10 +192,10 @@ def price_bisection(state: MmState,
     the feasible side of the bracket.
     """
     q_hat = state.q_hat
-    phi0 = unit_phase(state.q)
-    j0 = 2.0 * float(np.vdot(phi0, state.w).real)     # eh_slack(0), reusing phi0
-    if j0 >= q_hat or reflect_harvest(phi0, data) >= data.q_resid:
-        return phi0, 0.0
+    nxt = mm_prepare(data, unit_phase(state.q))
+    j0 = 2.0 * float(np.vdot(nxt.anchor, state.w).real)    # eh_slack(0)
+    if j0 >= q_hat or nxt.reflected >= data.q_resid:
+        return nxt, 0.0
 
     j_limit = 2.0 * float(np.sum(np.abs(state.w)))
     if j_limit < q_hat * (1.0 - 1e-9) - 1e-12:
@@ -228,10 +211,10 @@ def price_bisection(state: MmState,
         aligned = unit_phase(state.w)
         best = max((aligned, state.anchor),
                    key=lambda phi: float(np.real(np.vdot(phi, state.q))))
-        return best, float(2 ** MAX_DOUBLINGS)
+        return mm_prepare(data, best), float(2 ** MAX_DOUBLINGS)
 
     p = _bracketed_root(lambda x: q_hat - eh_slack(x, state), q_hat - j0)
-    return phase_closed_form(p, state), p
+    return mm_prepare(data, phase_closed_form(p, state)), p
 
 
 def _squarem_point(phi0: np.ndarray, phi1: np.ndarray,
@@ -266,7 +249,7 @@ def phase_solve(u: np.ndarray, w: np.ndarray, f: np.ndarray,
 
     def mm_map(start: MmState) -> tuple[MmState, bool]:
         """T(start), recorded; True once f has settled or the maps ran out."""
-        nxt = mm_prepare(data, price_bisection(start, data)[0])
+        nxt = price_bisection(start, data)[0]
         f_prev, f_new = trajectory[-1].objective, nxt.objective
         trajectory.append(PhaseIterate(f_new,
                                        nxt.reflected + data.direct_harvest))

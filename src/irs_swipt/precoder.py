@@ -101,14 +101,13 @@ class PrecoderIterate(NamedTuple):
 
 def build_quadratic(u: np.ndarray, w: np.ndarray, eff: EffectiveChannels,
                     f_anchor: np.ndarray, config: SystemConfig,
-                    eh_threshold: float | None = None) -> QuadraticData:
+                    eh_threshold: float) -> QuadraticData:
     """Assemble A, the linear terms and the harvest anchor data of the
-    precoder subproblem."""
+    precoder subproblem, whose harvest bound is eh_threshold."""
     hu = np.einsum("kni,knd->kid", eff.hbar.conj(), u)      # Hbar_k^H U_k
     lin = np.asarray(config.rate_weights)[:, None, None] * hu @ w
     a = hermitianize(np.einsum("kid,kjd->ij", lin, hu.conj()))
-    qbar = config.eh_threshold if eh_threshold is None else eh_threshold
-    return QuadraticData.from_terms(a, lin, eff.g, f_anchor, qbar)
+    return QuadraticData.from_terms(a, lin, eff.g, f_anchor, eh_threshold)
 
 
 def _shift_inverse(lam: float, data: QuadraticData) -> np.ndarray:

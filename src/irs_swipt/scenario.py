@@ -48,10 +48,11 @@ class SystemConfig:
     antenna_spacing_ratio: float = 0.5  # element spacing over wavelength
 
     def __post_init__(self):
-        if not self.rate_weights:
-            object.__setattr__(self, "rate_weights", (1.0,) * self.n_irs)
-        if not self.eh_weights:
-            object.__setattr__(self, "eh_weights", (1.0,) * self.n_ers)
+        for name, count in (("rate_weights", self.n_irs),
+                            ("eh_weights", self.n_ers)):
+            weights = getattr(self, name)
+            object.__setattr__(self, name, tuple(map(float, weights))
+                               if weights else (1.0,) * count)
         ints = {
             "n_bs_antennas": self.n_bs_antennas,
             "n_ir_antennas": self.n_ir_antennas,
@@ -82,14 +83,6 @@ class SystemConfig:
             raise ValueError("eh_weights length must equal n_ers")
         if any(w <= 0.0 for w in self.rate_weights + self.eh_weights):
             raise ValueError("all rate/eh weights must be strictly positive")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SystemConfig":
-        d = dict(d)
-        for key in ("rate_weights", "eh_weights"):
-            if key in d and d[key] is not None:
-                d[key] = tuple(float(x) for x in d[key])
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -125,14 +118,6 @@ class Geometry:
                 raise ValueError(f"{name} must be non-negative")
         if self.d0 <= 0.0:
             raise ValueError("d0 must be strictly positive")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Geometry":
-        d = dict(d)
-        for key in ("bs_position", "irs_position"):
-            if key in d and d[key] is not None:
-                d[key] = tuple(float(x) for x in d[key])
-        return cls(**d)
 
     def with_er_center(self, x_er: float) -> "Geometry":
         """Move the ER cluster, keeping the IRS directly above it."""
@@ -282,8 +267,8 @@ def load_scenario(path: str | Path) -> tuple[SystemConfig, Geometry, int]:
         raise ValueError(f"malformed scenario {path}: the top level is "
                          f"{type(raw).__name__}, not a JSON object")
     try:
-        config = SystemConfig.from_dict(raw.get("config", {}))
-        geometry = Geometry.from_dict(raw.get("geometry", {}))
+        config = SystemConfig(**raw.get("config", {}))
+        geometry = Geometry(**raw.get("geometry", {}))
         seed = int(raw.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed scenario {path}: {exc!r}") from exc

@@ -202,25 +202,23 @@ def phase_data(x, y, v, g, q_resid=0.0, lam_max=0.0, direct_harvest=0.0):
 
 def phase_solve_plain(u, w, f, channels, phi_init, config, eps=1e-6,
                       n_max=200):
-    """The phase block as plain MM: one map price_bisection(mm_prepare(phi))
-    per step, stopped when f changes by at most eps relative or after n_max
+    """The phase block as plain MM: one map price_bisection(state) per
+    step, stopped when f changes by at most eps relative or after n_max
     maps.  The reference for phase.phase_solve's SQUAREM loop (it uses the
     library's map, so the two differ only in how they sequence it); returns
     (phi, trajectory) as phase_solve does."""
     data = assemble_phase_qcqp(u, w, f, channels, config)
-    phi = np.asarray(phi_init, dtype=complex)
-    state = mm_prepare(data, phi)
+    state = mm_prepare(data, np.asarray(phi_init, dtype=complex))
     trajectory = [PhaseIterate(state.objective,
                                state.reflected + data.direct_harvest)]
     for _ in range(n_max):
-        phi, _ = price_bisection(state, data)
-        state = mm_prepare(data, phi)
+        state, _ = price_bisection(state, data)
         trajectory.append(PhaseIterate(state.objective,
                                        state.reflected + data.direct_harvest))
         f_prev, f_new = trajectory[-2].objective, state.objective
         if abs(f_new - f_prev) <= eps * max(abs(f_new), 1e-30):
             break
-    return phi, trajectory
+    return state.anchor, trajectory
 
 
 def waterfill_capacity(hbar, sigma2, p_total):

@@ -93,7 +93,8 @@ def test_criterion_03_price_global_optimality():
             anchor, dense_form(data.upsilon_factor) @ anchor)))
         data.q_resid = q_hat - anchor_quad
         state = mm_prepare(data, anchor)
-        phi, p = price_bisection(state, data)
+        nxt, p = price_bisection(state, data)
+        phi = nxt.anchor
         value = 2.0 * float(np.real(np.vdot(phi, state.q)))
         grid = phase_grid_best(state.q, w, q_hat, points=720)
         if grid is None:
@@ -159,12 +160,14 @@ def test_criterion_05_bcd_monotone_convergence(bcd_runs):
     """WSR non-decreasing, converged within 50 sweeps, median sweeps <= 15.
 
     KNOWN RED (see the convergence analysis in the decisions ledger): the
-    monotonicity and median clauses hold, but a 1e-4-relative stall within
+    monotonicity and median clauses hold, but a 1e-4-relative change within
     50 sweeps does not hold for every instance.  A minority of instances
     passes through slow power-reorganization transients (each block still
-    solves its subproblem to stationarity) and needs 150-400 sweeps to
-    stall, independent of instance family, inner tolerances, or initializer
-    strength.  The assertion is kept as specified rather than loosened.
+    solves its subproblem to stationarity) and takes longer to reach that
+    rule, independent of instance family, inner tolerances, or initializer
+    strength.  Where the rule fires it marks a plateau, not convergence:
+    run with no stop rule, all 50 instances still rise at sweep 3000.  The
+    assertion is kept as specified rather than loosened.
     """
     iterations = []
     stalled_late = []
@@ -186,7 +189,8 @@ def test_criterion_05_bcd_monotone_convergence(bcd_runs):
            f"within 50 sweeps")
     assert not stalled_late, (
         f"{len(stalled_late)} of 50 instances still improve by more than "
-        f"1e-4 relative at sweep 50 (they converge by sweep ~400); "
+        f"1e-4 relative at sweep 50 (the rule fires later, on a plateau, "
+        f"not at convergence); "
         f"monotonicity and the median-iteration clause hold")
 
 

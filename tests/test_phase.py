@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from statistics import mean
 
 import numpy as np
@@ -10,12 +10,11 @@ from irs_swipt import (Geometry, SystemConfig, bcd_solve, effective_channels,
                        feasibility_check, generate_scenario, harvested_power)
 from irs_swipt.bcd import mmse_refresh
 from irs_swipt.errors import InfeasibleSubproblemError
-from irs_swipt.linalg import herm
+from irs_swipt.linalg import MAX_DOUBLINGS, herm, unit_phase
 from irs_swipt.metrics import wmmse_objective
 from irs_swipt.phase import (MM_EPS, assemble_phase_qcqp, eh_slack,
-                             mm_prepare, phase_closed_form, phase_objective,
-                             phase_solve, price_bisection, reflect_harvest,
-                             true_harvest)
+                             mm_prepare, phase_closed_form, phase_solve,
+                             price_bisection)
 from irs_swipt.precoder import sca_precoder_solve
 
 from helpers import (bench_config, count_calls, crandn, dense_form,
@@ -89,7 +88,7 @@ class TestAssembly:
                     np.trace(uwu @ eff.hbar[k] @ f_tilde @ herm(eff.hbar[k])))
                 direct -= 2.0 * om * np.real(
                     np.trace(w[k] @ herm(u[k]) @ eff.hbar[k] @ f[k]))
-            value = phase_objective(test_phi, data) + obj_const
+            value = mm_prepare(data, test_phi).objective + obj_const
             assert abs(value - direct) < 1e-9 * max(1.0, abs(direct))
 
     def test_harvest_identity_against_metrics(self):
@@ -99,7 +98,8 @@ class TestAssembly:
             test_phi = unit_phases(rng, cfg.n_elements)
             eff = effective_channels(ch, test_phi, cfg)
             _, q = harvested_power(f, eff, cfg)
-            assert abs(true_harvest(test_phi, data) - q) < 1e-9 * max(1.0, q)
+            harvest = mm_prepare(data, test_phi).reflected + data.direct_harvest
+            assert abs(harvest - q) < 1e-9 * max(1.0, q)
 
     def test_quadratics_are_psd(self):
         rng = np.random.default_rng(3)
@@ -174,10 +174,6 @@ class TestMmPrepare:
         for name in ("q_hat", "objective", "reflected"):
             assert getattr(state, name) == pytest.approx(
                 getattr(ref, name), rel=1e-12), name
-        assert state.objective == pytest.approx(phase_objective(anchor, data),
-                                                rel=1e-12)
-        assert state.reflected == pytest.approx(
-            reflect_harvest(anchor, data), rel=1e-12)
 
     def test_linearized_bound_matches_truth_at_anchor(self):
         rng = np.random.default_rng(6)
@@ -188,7 +184,7 @@ class TestMmPrepare:
             anchor, data.g.conj() + dense_form(data.upsilon_factor) @ anchor))
         # constraint slack at the anchor equals the true harvest slack
         assert (lin_at_anchor - state.q_hat) == pytest.approx(
-            reflect_harvest(anchor, data) - data.q_resid, abs=1e-10)
+            state.reflected - data.q_resid, abs=1e-10)
 
 
 class TestClosedForm:
@@ -265,9 +261,9 @@ class TestPriceBisection:
         data = make_phase_data(rng, 5, q_resid=-100.0)
         state = mm_prepare(data, unit_phases(rng, 5))
         assert state.q_hat <= 0.0
-        phi, p = price_bisection(state, data)
+        nxt, p = price_bisection(state, data)
         assert p == 0.0
-        np.testing.assert_allclose(phi, np.exp(1j * np.angle(state.q)))
+        np.testing.assert_allclose(nxt.anchor, np.exp(1j * np.angle(state.q)))
 
     def test_returned_point_always_feasibility_preserving(self):
         # a non-positive bound is not automatically satisfied: the unpriced
@@ -288,10 +284,10 @@ class TestPriceBisection:
                 anchor, dense_form(data.upsilon_factor) @ anchor)))
             data.q_resid = q_hat - anchor_quad
             state = mm_prepare(data, anchor)
-            phi, p = price_bisection(state, data)
-            lin_ok = (2.0 * np.real(np.vdot(phi, w))
+            nxt, p = price_bisection(state, data)
+            lin_ok = (2.0 * np.real(np.vdot(nxt.anchor, w))
                       >= q_hat - 1e-9 * max(1.0, abs(q_hat)))
-            true_ok = reflect_harvest(phi, data) >= data.q_resid - 1e-12
+            true_ok = nxt.reflected >= data.q_resid - 1e-12
             assert lin_ok or true_ok
             if not lin_ok:
                 assert p == 0.0
@@ -316,13 +312,13 @@ class TestPriceBisection:
             data.q_resid = q_hat - anchor_quad
             state = mm_prepare(data, anchor)
             assert state.q_hat == pytest.approx(q_hat, rel=1e-12)
-            phi, p = price_bisection(state, data)
+            nxt, p = price_bisection(state, data)
             if p > 0.0:
                 hits += 1
                 j_at = eh_slack(p, state)
                 assert abs(j_at - q_hat) <= 1e-6 * max(1.0, abs(q_hat))
                 assert 2.0 * np.real(np.vdot(
-                    phi, data.g.conj()
+                    nxt.anchor, data.g.conj()
                     + dense_form(data.upsilon_factor) @ anchor)) >= q_hat * (1 - 1e-9)
         assert hits >= 10
 
@@ -340,6 +336,33 @@ class TestPriceBisection:
         with pytest.raises(InfeasibleSubproblemError):
             price_bisection(bad, data)
 
+    def test_saturated_bound_keeps_the_better_point(self):
+        # q_hat equal to the reachable slack 2 sum |w|: J(p) only approaches
+        # it as p grows, so no bracket exists and the map keeps whichever of
+        # the aligned point and the anchor scores higher on 2 Re{phi^H q}.
+        saturated = 0
+        for seed in range(40):
+            rng = np.random.default_rng(9000 + seed)
+            data = make_phase_data(rng, 5)
+            anchor = unit_phases(rng, 5)
+            upsilon = dense_form(data.upsilon_factor)
+            w = data.g.conj() + upsilon @ anchor
+            data.q_resid = (2.0 * float(np.sum(np.abs(w)))
+                            - float(np.real(np.vdot(anchor, upsilon @ anchor))))
+            state = mm_prepare(data, anchor)
+            nxt, p = price_bisection(state, data)
+            again = mm_prepare(data, nxt.anchor)
+            for fld in fields(nxt):
+                assert np.array_equal(getattr(nxt, fld.name),
+                                      getattr(again, fld.name)), fld.name
+            if p != float(2 ** MAX_DOUBLINGS):
+                continue
+            saturated += 1
+            best = max((unit_phase(w), anchor),
+                       key=lambda phi: 2.0 * np.real(np.vdot(phi, state.q)))
+            np.testing.assert_allclose(nxt.anchor, best, rtol=0, atol=1e-12)
+        assert saturated >= 30
+
     def test_global_optimality_on_exhaustive_grid(self):
         # two-element subproblems solved by brute force over 720^2 phases
         for seed in range(6):
@@ -352,8 +375,8 @@ class TestPriceBisection:
             j_inf = 2.0 * float(np.sum(np.abs(w)))
             q_hat = j0 + 0.7 * (j_inf - j0)
             state = replace(state, q_hat=q_hat)
-            phi, p = price_bisection(state, data)
-            value = 2.0 * np.real(np.vdot(phi, state.q))
+            nxt, p = price_bisection(state, data)
+            value = 2.0 * np.real(np.vdot(nxt.anchor, state.q))
             grid = phase_grid_best(state.q, w, q_hat)
             if grid is None:
                 continue
@@ -368,7 +391,8 @@ class TestPhaseSolve:
             cfg = bench_config()
             ch, phi, f, u, w = wmmse_state(rng, cfg)
             data = assemble_phase_qcqp(u, w, f, ch, cfg)
-            qbar = 0.5 * true_harvest(phi, data)
+            qbar = 0.5 * (mm_prepare(data, phi).reflected
+                          + data.direct_harvest)
             cfg_q = bench_config(qbar=qbar)
             phi_out, traj = phase_solve(u, w, f, ch, phi, cfg_q)
             objectives = [it.objective for it in traj]
@@ -392,7 +416,7 @@ class TestPhaseSolve:
         cfg = bench_config()
         ch, phi, f, u, w = wmmse_state(rng, cfg)
         data = assemble_phase_qcqp(u, w, f, ch, cfg)
-        qbar = 0.9 * true_harvest(phi, data)
+        qbar = 0.9 * (mm_prepare(data, phi).reflected + data.direct_harvest)
         cfg_q = bench_config(qbar=qbar)
         monkeypatch.setattr(phase_module, "MM_EPS", 1e-12)
         monkeypatch.setattr(phase_module, "MM_MAX_ITER", 2000)
@@ -402,7 +426,8 @@ class TestPhaseSolve:
         # radial component; solve for nu >= 0 in least squares.
         grad = dense_form(data.xi_factor) @ phi_star + data.v.conj()
         cons = data.g.conj() + dense_form(data.upsilon_factor) @ phi_star
-        slack = reflect_harvest(phi_star, data) - (qbar - data.direct_harvest)
+        slack = (mm_prepare(data, phi_star).reflected
+                 - (qbar - data.direct_harvest))
         c0 = np.imag(phi_star.conj() * grad)
         c1 = np.imag(phi_star.conj() * cons)
         if slack > 1e-6 * max(1.0, abs(qbar)):
@@ -458,13 +483,15 @@ class TestSquarem:
             data = assemble_phase_qcqp(u, w, f, ch, cfg)
             free, _ = phase_solve_plain(u, w, f, ch, phi, cfg, eps=0.0,
                                         n_max=1000)
-            q_free, q_start = true_harvest(free, data), true_harvest(phi, data)
+            at_free, at_start = mm_prepare(data, free), mm_prepare(data, phi)
+            q_free = at_free.reflected + data.direct_harvest
+            q_start = at_start.reflected + data.direct_harvest
             if q_free >= q_start:
                 continue
             cfg_q = bench_config(m=8, qbar=0.5 * (q_free + q_start))
             _, plain = phase_solve_plain(u, w, f, ch, phi, cfg_q, eps=0.0,
                                          n_max=n_max)
-            if phase_objective(free, data) > plain[2].objective:
+            if at_free.objective > plain[2].objective:
                 continue
             offered = []
 

@@ -55,7 +55,8 @@ class TestBuildQuadratic:
         cfg = bench_config(k_i=1)
         ch, phi, f, u, w = wmmse_state(rng, cfg)
         eff = effective_channels(ch, phi, cfg)
-        data = build_quadratic(np.zeros_like(u), w, eff, f, cfg)
+        data = build_quadratic(np.zeros_like(u), w, eff, f, cfg,
+                               cfg.eh_threshold)
         assert np.max(np.abs(data.a)) == 0.0
 
     def test_harvest_linearization_is_lower_bound(self):
@@ -87,7 +88,7 @@ class TestBuildQuadratic:
         cfg = bench_config(rate_weights=(0.7, 1.9))
         ch, phi, f, u, w = wmmse_state(rng, cfg)
         eff = effective_channels(ch, phi, cfg)
-        data = build_quadratic(u, w, eff, f, cfg)
+        data = build_quadratic(u, w, eff, f, cfg, cfg.eh_threshold)
         a, lin = precoder_terms_per_user(u, w, eff.hbar, cfg.rate_weights)
         np.testing.assert_allclose(data.a, a, rtol=0, atol=1e-12 * np.abs(a).max())
         np.testing.assert_allclose(data.lin, lin, rtol=0,
@@ -348,7 +349,7 @@ class TestScaSolve:
         ch, phi, f, u, w = wmmse_state(rng, cfg)
         eff = effective_channels(ch, phi, cfg)
         f_sca, traj = sca_precoder_solve(u, w, eff, f, cfg)
-        data = build_quadratic(u, w, eff, f_sca, cfg)
+        data = build_quadratic(u, w, eff, f_sca, cfg, cfg.eh_threshold)
         f_direct, lam, mu = dual_bisection(data, cfg.power_budget)
         assert mu == 0.0
         assert (np.linalg.norm(f_sca - f_direct)
@@ -409,7 +410,7 @@ class TestScaSolve:
         monkeypatch.setattr(precoder, "SCA_EPS", 1e-10)
         monkeypatch.setattr(precoder, "SCA_MAX_ITER", 300)
         f_star, _ = sca_precoder_solve(u, w, eff, f, cfg_q)
-        data = build_quadratic(u, w, eff, f_star, cfg_q)
+        data = build_quadratic(u, w, eff, f_star, cfg_q, cfg_q.eh_threshold)
         f_fix, lam, mu = dual_bisection(data, cfg_q.power_budget)
         # stationarity of the inner Lagrangian at the fixed point
         grad = (np.einsum("ij,kjd->kid", data.a, f_fix)

@@ -162,6 +162,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SystemConfig(n_irs=2, rate_weights=(1.0,))
 
+    def test_list_weights_equal_tuple_weights(self):
+        n_ers = SystemConfig().n_ers
+        listed = SystemConfig(rate_weights=[1, 2.0], eh_weights=[0.5] * n_ers)
+        tupled = SystemConfig(rate_weights=(1.0, 2.0),
+                              eh_weights=(0.5,) * n_ers)
+        assert listed == tupled
+        assert hash(listed) == hash(tupled)
+        assert all(type(x) is float for x in listed.rate_weights)
+
     def test_efficiency_range(self):
         with pytest.raises(ValueError):
             SystemConfig(eh_efficiency=0.0)
