@@ -5,19 +5,24 @@ precoder is rank-one energy beamforming along the top eigenvector of the
 harvest matrix G, giving Q = lambda_max(G) * P_T; for fixed precoders, one
 SCA ascent step aligns the phases with the harvest gradient, read from the
 ER composites the precoder step was built on, so no M x M form is
-assembled.  Both steps can only increase Q.  The alternation stops as soon
-as Q clears the threshold (the problem is then feasible and the point
-initializes the BCD solver), or when Q stalls.  A step reads only the ER
-side of the channels, so it builds gbar and G alone.  The returned F is
-rank-one; bcd_solve spreads it over the streams itself, so any feasible
-(F, phi) is a start.
+assembled.  Both steps can only increase Q.  A map is a phase step and the
+precoder step at the new phases, building only gbar and G; FEAS_MAX_ITER
+counts maps.  The maps run through the phase block's SQUAREM cycle: after
+two maps, the unit-modulus extrapolation of their phases (one more G build
+and precoder step) is kept if its Q is no lower than the second map's, and
+mapped once more.  The alternation stops as soon as a map's Q clears the
+threshold (the problem is then feasible and the point initializes the BCD
+solver), changes by at most STALL_RTOL relative, or the maps run out.  No
+extrapolation comes before two maps, so a check decided within two steps
+is the plain alternation's.  The returned F is rank-one; bcd_solve spreads
+it over the streams itself, so any feasible (F, phi) is a start.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import frob_sq, unit_phase
+from .linalg import _squarem, _squarem_point, frob_sq, unit_phase
 from .metrics import harvest_channels, harvested_power_quadratic
 from .scenario import ChannelSet, SystemConfig
 
@@ -106,28 +111,34 @@ def spread_streams(f: np.ndarray, g: np.ndarray,
 
 
 def feasibility_check(channels: ChannelSet, config: SystemConfig) -> tuple:
-    """Alternate energy beamforming and phase ascent until the harvest
-    threshold is reached, progress stalls, or FEAS_MAX_ITER steps ran.
-
-    Returns (feasible, F, phi, Q_achieved); when feasible, (F, phi) is a
-    valid starting point for the joint solver.  Each step builds only the
-    ER composites and G.
-    """
+    """(feasible, F, phi, Q) at the best Q mapped; see the module notes."""
     qbar = config.eh_threshold
     scale = config.eh_efficiency * np.asarray(config.eh_weights)
     g_r_conj = channels.g_r.conj()
-    phi = np.ones(config.n_elements, dtype=complex)
-    gbar, g = harvest_channels(channels, phi[:, None] * channels.z, scale)
-    f, q = max_eh_precoder(g, config)
-    best = (q >= qbar, f, phi, q)
-    for _ in range(0 if q >= qbar or config.n_elements == 0
-                   else FEAS_MAX_ITER):
-        phi = max_eh_phase_step(f, gbar, channels.z, g_r_conj, scale)
+    steps = 0
+
+    def at(phi: np.ndarray) -> tuple:
+        """(F, Q, phi, gbar) with F the energy beamformer at phi."""
         gbar, g = harvest_channels(channels, phi[:, None] * channels.z, scale)
-        f, q_new = max_eh_precoder(g, config)
-        if q_new > best[3]:
-            best = (q_new >= qbar, f, phi, q_new)
-        if q_new >= qbar or abs(q_new - q) <= STALL_RTOL * max(q_new, 1e-300):
-            break
-        q = q_new
+        return (*max_eh_precoder(g, config), phi, gbar)
+
+    def mapped(x: tuple) -> tuple[tuple, bool]:
+        nonlocal best, steps
+        steps += 1
+        f, q, phi, _ = nxt = at(max_eh_phase_step(x[0], x[3], channels.z,
+                                                  g_r_conj, scale))
+        if q > best[3]:
+            best = (q >= qbar, f, phi, q)
+        return nxt, (q >= qbar or steps >= FEAS_MAX_ITER
+                     or abs(q - x[1]) <= STALL_RTOL * max(q, 1e-300))
+
+    def offer(x0: tuple, x1: tuple, x2: tuple) -> tuple | None:
+        phi = _squarem_point(x0[2], x1[2], x2[2])
+        jump = None if phi is None else at(phi)
+        return jump if jump is not None and jump[1] >= x2[1] else None
+
+    f, q, phi, _ = start = at(np.ones(config.n_elements, dtype=complex))
+    best = (q >= qbar, f, phi, q)
+    _squarem(mapped, offer, start,
+             q >= qbar or config.n_elements == 0 or FEAS_MAX_ITER < 1)
     return best

@@ -100,3 +100,35 @@ def _bracketed_root(excess, at_zero: float, slack_tol: float = np.inf) -> float:
             s_hi *= 0.5 if kept > 0 else 1.0
             kept = 1
     return hi
+
+
+def _squarem_point(phi0: np.ndarray, phi1: np.ndarray,
+                   phi2: np.ndarray) -> np.ndarray | None:
+    """Unit-modulus projection of the SQUAREM point phi0 - 2 alpha r +
+    alpha^2 v, alpha = min(-|r|/|v|, -1); None when alpha = -1, whose point
+    is phi2 itself, or when v = 0."""
+    r = phi1 - phi0
+    v = phi2 - phi1 - r
+    r_sq, v_sq = frob_sq(r), frob_sq(v)
+    if not r_sq > v_sq > 0.0:
+        return None
+    alpha = -np.sqrt(r_sq / v_sq)
+    return unit_phase(phi0 - 2.0 * alpha * r + alpha ** 2 * v)
+
+
+def _squarem(mapped, offer, x, done: bool = False):
+    """SQUAREM (Varadhan & Roland 2008): map x with mapped(x) = (T(x), done),
+    which counts the map and applies the caller's stop test, until done
+    (at once if given).  Each cycle maps x0 to x1 and x2; offer(x0, x1, x2)
+    is the caller's extrapolated point if it keeps one, else None, and a
+    kept point is mapped once more.  Returns the last map's output."""
+    while not done:
+        x0 = x
+        x1, done = mapped(x0)
+        if done:
+            return x1
+        x, done = mapped(x1)
+        jump = None if done else offer(x0, x1, x)
+        if jump is not None:
+            x, done = mapped(jump)
+    return x

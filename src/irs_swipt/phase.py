@@ -34,18 +34,14 @@ chosen so the constraint slackness J(p) = 2 Re{phi(p)^H w} hits q_hat;
 J is non-decreasing in p, so the shared bracketed root search applies.
 
 One MM map T(phi), price_bisection, is that priced solve at the anchor
-phi, prepared as the next anchor.  phase_solve accelerates the map
-sequence with SQUAREM (Varadhan & Roland 2008): from phi_0 it takes
-phi_1 = T(phi_0) and phi_2 = T(phi_1), forms r = phi_1 - phi_0,
-v = phi_2 - phi_1 - r and the step alpha = min(-|r|/|v|, -1), and projects
-phi_0 - 2 alpha r + alpha^2 v to unit modulus.  alpha = -1 gives phi_2
-itself (plain MM).  The extrapolated point is kept only if it meets the
-true harvest constraint and f there is no higher than f(phi_2); then one
-stabilizing map T is taken from it, otherwise the cycle restarts from
-phi_2.  Every T counts against the map budget and adds one trajectory
-entry, and the extrapolated point is never returned unmapped, so each
-recorded iterate is a feasible MM output and f never rises along the
-trajectory.
+phi, prepared as the next anchor.  phase_solve runs T through the SQUAREM
+cycle it shares with the feasibility alternation (linalg._squarem): after
+phi_1 = T(phi_0) and phi_2 = T(phi_1) the unit-modulus extrapolation of the
+three is kept only if it meets the true harvest constraint with f no
+higher than f(phi_2), and is then mapped once more.  Every T counts
+against the map budget and adds one trajectory entry, and the kept point
+is never returned unmapped, so each recorded iterate is a feasible MM
+output and f never rises along the trajectory.
 """
 
 from __future__ import annotations
@@ -56,7 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleSubproblemError
-from .linalg import MAX_DOUBLINGS, _bracketed_root, frob_sq, herm, unit_phase
+from .linalg import (MAX_DOUBLINGS, _bracketed_root, _squarem, _squarem_point,
+                     frob_sq, herm, unit_phase)
 from .scenario import ChannelSet, SystemConfig
 
 
@@ -217,20 +214,6 @@ def price_bisection(state: MmState,
     return mm_prepare(data, phase_closed_form(p, state)), p
 
 
-def _squarem_point(phi0: np.ndarray, phi1: np.ndarray,
-                   phi2: np.ndarray) -> np.ndarray | None:
-    """Unit-modulus projection of the SQUAREM point phi0 - 2 alpha r +
-    alpha^2 v, alpha = min(-|r|/|v|, -1); None when alpha = -1, whose point
-    is phi2 itself, or when v = 0."""
-    r = phi1 - phi0
-    v = phi2 - phi1 - r
-    r_sq, v_sq = frob_sq(r), frob_sq(v)
-    if not r_sq > v_sq > 0.0:
-        return None
-    alpha = -np.sqrt(r_sq / v_sq)
-    return unit_phase(phi0 - 2.0 * alpha * r + alpha ** 2 * v)
-
-
 def phase_solve(u: np.ndarray, w: np.ndarray, f: np.ndarray,
                 channels: ChannelSet, phi_init: np.ndarray,
                 config: SystemConfig) -> tuple[np.ndarray, list[PhaseIterate]]:
@@ -256,20 +239,12 @@ def phase_solve(u: np.ndarray, w: np.ndarray, f: np.ndarray,
         return nxt, (len(trajectory) > MM_MAX_ITER or abs(f_new - f_prev)
                      <= MM_EPS * max(abs(f_new), 1e-30))
 
-    done = MM_MAX_ITER < 1
-    while not done:
-        start = state
-        state, done = mm_map(start)
-        if done:
-            break
-        mid = state
-        state, done = mm_map(mid)
-        if done:
-            break
-        phi_x = _squarem_point(start.anchor, mid.anchor, state.anchor)
-        if phi_x is not None:
-            jump = mm_prepare(data, phi_x)
-            if (jump.reflected >= data.q_resid
-                    and jump.objective <= state.objective):
-                state, done = mm_map(jump)
+    def offer(x0: MmState, x1: MmState, x2: MmState) -> MmState | None:
+        phi_x = _squarem_point(x0.anchor, x1.anchor, x2.anchor)
+        jump = None if phi_x is None else mm_prepare(data, phi_x)
+        keep = (jump is not None and jump.reflected >= data.q_resid
+                and jump.objective <= x2.objective)
+        return jump if keep else None
+
+    state = _squarem(mm_map, offer, state, MM_MAX_ITER < 1)
     return state.anchor, trajectory

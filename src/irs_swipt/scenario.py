@@ -184,10 +184,12 @@ def rician_channel(rows: int, cols: int, beta: float, aoa: float, aod: float,
         raise ValueError("Rician factor must be non-negative")
     if rows == 0 or cols == 0:
         return np.zeros((rows, cols), dtype=complex)
-    los = np.outer(steering_vector(rows, aoa, spacing_ratio),
-                   steering_vector(cols, aod, spacing_ratio).conj())
     nlos = (rng.standard_normal((rows, cols))
             + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    if beta == 0.0:     # the line-of-sight term draws nothing from rng
+        return nlos
+    los = np.outer(steering_vector(rows, aoa, spacing_ratio),
+                   steering_vector(cols, aod, spacing_ratio).conj())
     return np.sqrt(beta / (beta + 1.0)) * los + np.sqrt(1.0 / (beta + 1.0)) * nlos
 
 

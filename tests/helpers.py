@@ -10,12 +10,13 @@ import numpy as np
 
 from irs_swipt import SystemConfig, effective_channels
 from irs_swipt.bcd import mmse_refresh
-from irs_swipt.linalg import (herm, hermitian_solve, hermitianize,
+from irs_swipt.linalg import (_squarem, _squarem_point, herm,
+                              hermitian_solve, hermitianize,
                               inverse_logdet_pd, unit_phase)
 from irs_swipt.metrics import EffectiveChannels
 from irs_swipt.phase import (MmState, PhaseIterate, PhaseQcqpData,
                              assemble_phase_qcqp, mm_prepare, price_bisection)
-from irs_swipt.scenario import ChannelSet
+from irs_swipt.scenario import ChannelSet, steering_vector
 
 
 def crandn(rng, *shape, scale=1.0):
@@ -396,6 +397,19 @@ def phase_grid_best(q, w, q_hat, points=720):
     return float(obj[feasible].max())
 
 
+def rician_channel_both_terms(rows, cols, beta, aoa, aod, rng,
+                              spacing_ratio=0.5):
+    """The Rician draw with both terms always formed, the line-of-sight one
+    scaled by sqrt(beta/(beta+1)) even when that weight is 0."""
+    if rows == 0 or cols == 0:
+        return np.zeros((rows, cols), dtype=complex)
+    los = np.outer(steering_vector(rows, aoa, spacing_ratio),
+                   steering_vector(cols, aod, spacing_ratio).conj())
+    nlos = (rng.standard_normal((rows, cols))
+            + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    return np.sqrt(beta / (beta + 1.0)) * los + np.sqrt(1.0 / (beta + 1.0)) * nlos
+
+
 def harvest_direct(f, phi, channels, config):
     """Weighted harvested power from the per-ER definition, no library calls."""
     total = 0.0
@@ -423,10 +437,10 @@ def effective_channels_loop(channels, phi, config):
     return EffectiveChannels(hbar=hbar, gbar=gbar, g=hermitianize(g))
 
 
-def feasibility_check_loop(channels, config, max_iter=200, stall_rtol=1e-8):
-    """The feasibility alternation with a full effective-channel build
-    (effective_channels_loop) per step; returns (feasible, F, phi, Q).  The
-    reference that feasibility_check must equal to the bit."""
+def eh_steps_loop(channels, config):
+    """The two steps of the feasibility alternation on full effective
+    channels: (energy beamforming from eff.g, phase ascent from F and
+    eff.gbar), each written out from its definition."""
 
     def max_eh_precoder(eff):
         w, v = np.linalg.eigh(hermitianize(eff.g))
@@ -444,6 +458,52 @@ def feasibility_check_loop(channels, config, max_iter=200, stall_rtol=1e-8):
         weights = config.eh_efficiency * np.asarray(config.eh_weights)
         grad = np.einsum("l,lnm,lnm->m", weights, channels.g_r.conj(), cross)
         return unit_phase(grad)
+
+    return max_eh_precoder, max_eh_phase_step
+
+
+def feasibility_check_loop(channels, config, max_iter=200, stall_rtol=1e-8):
+    """The SQUAREM-accelerated feasibility alternation through the shared
+    driver, with a full effective-channel build (effective_channels_loop)
+    per step; returns (feasible, F, phi, Q).  The reference that
+    feasibility_check must equal to the bit."""
+    max_eh_precoder, max_eh_phase_step = eh_steps_loop(channels, config)
+    qbar = config.eh_threshold
+    steps = 0
+
+    def at(phi):
+        eff = effective_channels_loop(channels, phi, config)
+        return (*max_eh_precoder(eff), phi, eff)
+
+    def mapped(x):
+        nonlocal best, steps
+        steps += 1
+        f, q, phi, _ = nxt = at(max_eh_phase_step(x[0], x[3]))
+        if q > best[3]:
+            best = (q >= qbar, f, phi, q)
+        return nxt, (q >= qbar or steps >= max_iter
+                     or abs(q - x[1]) <= stall_rtol * max(q, 1e-300))
+
+    def offer(x0, x1, x2):
+        phi_x = _squarem_point(x0[2], x1[2], x2[2])
+        if phi_x is None:
+            return None
+        jump = at(phi_x)
+        return jump if jump[1] >= x2[1] else None
+
+    f, q, phi, _ = start = at(np.ones(config.n_elements, dtype=complex))
+    best = (q >= qbar, f, phi, q)
+    _squarem(mapped, offer, start,
+             q >= qbar or config.n_elements == 0 or max_iter < 1)
+    return best
+
+
+def feasibility_check_plain(channels, config, max_iter=200, stall_rtol=1e-8):
+    """The feasibility alternation as a plain fixed-point loop, with a full
+    effective-channel build (effective_channels_loop) per step; returns
+    (feasible, F, phi, Q).  The reference for the accelerated loop's
+    quality, and its output to the bit where two steps decide."""
+    max_eh_precoder, max_eh_phase_step = eh_steps_loop(channels, config)
 
     qbar = config.eh_threshold
     phi = np.ones(config.n_elements, dtype=complex)

@@ -6,12 +6,12 @@ from irs_swipt import (effective_channels, feasibility_check,
                        harvested_power_quadratic)
 from irs_swipt.feasibility import (max_eh_phase_step, max_eh_precoder,
                                    spread_streams)
-from irs_swipt.linalg import frob_sq, herm, unit_phase
+from irs_swipt.linalg import _squarem_point, frob_sq, herm, unit_phase
 from irs_swipt.phase import assemble_phase_qcqp
 
 from helpers import bench_config, count_calls, crandn, dense_form, \
-    feasibility_check_loop, harvest_gradient_fd, random_channels, \
-    random_precoders, unit_phases, wmmse_state
+    feasibility_check_loop, feasibility_check_plain, harvest_gradient_fd, \
+    random_channels, random_precoders, unit_phases, wmmse_state
 
 
 def eh_scale(cfg):
@@ -193,13 +193,80 @@ class TestMatchesPerStepBuild:
         # feasibility.py imports no full channel build, so every step builds
         # only the ER composites
         assert not hasattr(feasibility, "effective_channels")
+        # ... and beyond that, one precoder step evaluates each SQUAREM
+        # point offered, accepted or not
         steps = count_calls(monkeypatch, feasibility, "max_eh_phase_step")
         precoders = count_calls(monkeypatch, feasibility, "max_eh_precoder")
+        points = []
+
+        def point(*anchors):
+            points.append(_squarem_point(*anchors))
+            return points[-1]
+
+        monkeypatch.setattr(feasibility, "_squarem_point", point)
         rng = np.random.default_rng(11)
         cfg = bench_config(m=37, qbar=np.inf)
         feasibility_check(random_channels(rng, cfg), cfg)
+        offered = sum(phi is not None for phi in points)
         assert len(steps) >= 2
-        assert len(steps) == len(precoders) - 1
+        assert offered >= 1
+        assert len(precoders) == len(steps) + offered + 1
+
+
+class TestAcceleration:
+    """The SQUAREM-accelerated alternation against the plain loop."""
+
+    WEIGHTS = {1: (1.3,), 3: (0.4, 1.9, 0.7)}
+
+    @pytest.mark.parametrize("m", [1, 6, 37])
+    @pytest.mark.parametrize("k_e", [1, 3])
+    def test_no_lower_harvest_in_fewer_steps(self, monkeypatch, m, k_e):
+        cfg = bench_config(m=m, k_e=k_e, eh_weights=self.WEIGHTS[k_e],
+                           qbar=np.inf)
+        # The two loops stop on the same per-step stall but not at the same
+        # point, and now and then on different stationary points: 2 of 1,200
+        # draws of this grid (seeds 5000-5199) ended more than 1e-8 below.
+        steps = count_calls(monkeypatch, feasibility, "max_eh_phase_step")
+        n_fast = n_plain = 0
+        q_fast, q_plain = [], []
+        for seed in range(8):
+            ch = random_channels(np.random.default_rng(1200 + seed), cfg)
+            steps.clear()
+            q_fast.append(feasibility_check(ch, cfg)[3])
+            n_fast += len(steps)
+            q_plain.append(feasibility_check_plain(ch, cfg)[3])
+            # with no point offered the driver is the plain loop
+            with monkeypatch.context() as plain:
+                plain.setattr(feasibility, "_squarem_point",
+                              lambda *anchors: None)
+                steps.clear()
+                feasibility_check(ch, cfg)
+                n_plain += len(steps)
+        below = np.array(q_fast) < np.array(q_plain) * (1.0 - 1e-8)
+        assert np.sum(below) <= 1
+        assert sum(q_fast) >= sum(q_plain) * (1.0 - 1e-8)
+        if m == 37:
+            assert n_fast <= n_plain / 2
+
+    @pytest.mark.parametrize("m", [1, 6, 37])
+    @pytest.mark.parametrize("k_e", [1, 3])
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    def test_two_step_exits_equal_the_plain_loop(self, m, k_e, n_steps):
+        # a threshold at the plain loop's best within n_steps steps is
+        # reached there, before any extrapolation
+        kw = dict(m=m, k_e=k_e, eh_weights=self.WEIGHTS[k_e])
+        for seed in range(8):
+            ch = random_channels(np.random.default_rng(1300 + seed),
+                                 bench_config(**kw))
+            qbar = feasibility_check_plain(ch, bench_config(qbar=np.inf, **kw),
+                                           max_iter=n_steps)[3]
+            cfg = bench_config(qbar=qbar, **kw)
+            ref = feasibility_check_plain(ch, cfg)
+            out = feasibility_check(ch, cfg)
+            assert out[0] and ref[0]
+            assert out[3] == ref[3]
+            np.testing.assert_array_equal(out[1], ref[1])
+            np.testing.assert_array_equal(out[2], ref[2])
 
 
 class TestSpreadStreams:

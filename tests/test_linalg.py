@@ -4,8 +4,8 @@ import pytest
 from irs_swipt import effective_channels, harvested_power_quadratic
 from irs_swipt.errors import BracketError, ConditioningError
 from irs_swipt.linalg import (MAX_CONDITION, MAX_DOUBLINGS, ROOT_EPS,
-                              _bracketed_root, herm, hermitian_solve,
-                              inverse_logdet_pd)
+                              _bracketed_root, _squarem, herm,
+                              hermitian_solve, inverse_logdet_pd)
 from irs_swipt.phase import eh_slack, mm_prepare
 from irs_swipt.precoder import (_probe, build_quadratic, power_of_lambda,
                                 precoder_closed_form)
@@ -74,6 +74,56 @@ class TestBracketedRoot:
         for root in (1.0, 4.0, 0.25):
             x = _bracketed_root(lambda x: root - x, root)
             assert x >= root and x - root <= ROOT_EPS * max(1.0, root)
+
+
+class TestSquaremDriver:
+    """_squarem on the contraction x -> A x + b with A = diag(0.99, 0.5),
+    whose slow mode makes plain iteration crawl; the offer is the
+    unprojected SQUAREM point, always accepted."""
+
+    A, B = np.array([0.99, 0.5]), np.array([1.0, -2.0])
+    FIXED = B / (1.0 - A)
+
+    def run(self, budget, tol=1e-10, accelerate=True):
+        """(returned point, inputs of the maps taken, maps before each
+        offer)."""
+        inputs, offers = [], []
+
+        def mapped(x):
+            inputs.append(x)
+            nxt = self.A * x + self.B
+            return nxt, (len(inputs) >= budget
+                         or np.max(np.abs(nxt - self.FIXED)) <= tol)
+
+        def offer(x0, x1, x2):
+            offers.append(len(inputs))
+            if not accelerate:
+                return None
+            r, v = x1 - x0, x2 - 2.0 * x1 + x0
+            alpha = min(-np.sqrt(r @ r / (v @ v)), -1.0)
+            return x0 - 2.0 * alpha * r + alpha ** 2 * v
+
+        return _squarem(mapped, offer, np.zeros(2)), inputs, offers
+
+    def test_reaches_the_fixed_point_in_fewer_maps(self):
+        fast, fast_maps, _ = self.run(10_000)
+        plain, plain_maps, _ = self.run(10_000, accelerate=False)
+        for x in (fast, plain):
+            assert np.max(np.abs(x - self.FIXED)) <= 1e-10
+        assert len(fast_maps) < len(plain_maps) / 10
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 8])
+    def test_every_map_counts_against_the_budget(self, budget):
+        x, inputs, offers = self.run(budget, tol=0.0)
+        assert len(inputs) == budget
+        # an offer follows the second map of each cycle, and the point
+        # returned is the last map's output, never an unmapped offer
+        assert offers == list(range(2, budget, 3))
+        np.testing.assert_array_equal(x, self.A * inputs[-1] + self.B)
+
+    def test_done_at_the_start_takes_no_map(self):
+        x0 = np.ones(2)
+        assert _squarem(None, None, x0, done=True) is x0
 
 
 class TestInverseLogdet:

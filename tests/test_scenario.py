@@ -7,7 +7,7 @@ from irs_swipt import (Geometry, SystemConfig, generate_scenario,
                        load_scenario, path_loss_linear, weighted_sum_rate)
 from irs_swipt.scenario import ChannelSet, rician_channel, steering_vector
 
-from helpers import random_precoders
+from helpers import random_precoders, rician_channel_both_terms
 
 
 class TestPathLoss:
@@ -66,6 +66,21 @@ class TestRicianChannel:
         draws = np.array([np.abs(rician_channel(1, 1, 0.0, 0.0, 0.0, rng)) ** 2
                           for _ in range(10000)])
         assert draws.mean() == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("m", [0, 1, 40])
+    def test_zero_factor_skips_the_line_of_sight_term(self, m):
+        # the same bits, sign bits included, and the same stream after
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for shape in [(m, 4), (2, m), (m, m)] * 100:
+            aoa, aod = rng.uniform(0, 2 * np.pi, 2)
+            ref_rng.uniform(0, 2 * np.pi, 2)
+            h = rician_channel(*shape, 0.0, aoa, aod, rng)
+            ref = rician_channel_both_terms(*shape, 0.0, aoa, aod, ref_rng)
+            np.testing.assert_array_equal(h, ref)
+            for got, want in ((h.real, ref.real), (h.imag, ref.imag)):
+                np.testing.assert_array_equal(np.signbit(got),
+                                              np.signbit(want))
+        assert rng.random() == ref_rng.random()
 
     def test_unit_average_power_at_default_factor(self):
         rng = np.random.default_rng(3)
