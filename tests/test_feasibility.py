@@ -240,7 +240,7 @@ class TestAcceleration:
                 plain.setattr(feasibility, "_squarem_point",
                               lambda *anchors: None)
                 steps.clear()
-                feasibility_check(ch, cfg)
+                assert feasibility_check(ch, cfg)[3] == q_plain[-1]
                 n_plain += len(steps)
         below = np.array(q_fast) < np.array(q_plain) * (1.0 - 1e-8)
         assert np.sum(below) <= 1
