@@ -27,7 +27,8 @@ from .bcd import BCD_MAX_ITER, SolveReport, bcd_solve
 from .errors import SolverError
 from .feasibility import feasibility_check
 from .metrics import surface_free
-from .scenario import ChannelSet, Geometry, SystemConfig, generate_scenario
+from .scenario import (ChannelSet, Geometry, SystemConfig, _check_int,
+                       _read_object, generate_scenario)
 
 EXPERIMENTS = (
     "max-harvest-vs-distance",
@@ -61,8 +62,11 @@ class ExperimentSpec:
                              f"expected one of {EXPERIMENTS}")
         if not self.sweep:
             raise ValueError("sweep must be non-empty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _check_int("trials", self.trials, 1)
+        _check_int("seed_base", self.seed_base)
+        if self.experiment == "wsr-vs-M" and not all(
+                float(v).is_integer() for v in self.sweep):
+            raise ValueError(f"wsr-vs-M sweeps whole element counts, got {self.sweep}")
         self.methods = tuple(self.methods)
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
@@ -150,14 +154,6 @@ def solve_with_init(channels: ChannelSet, config: SystemConfig,
     return report
 
 
-def _max_harvest(channels: ChannelSet,
-                 config: SystemConfig) -> tuple[bool, float]:
-    """Best weighted harvest found by the alternation, run to its stall point."""
-    unreachable = replace(config, eh_threshold=float("inf"))
-    _, _, _, q = feasibility_check(channels, unreachable)
-    return q >= config.eh_threshold, q
-
-
 def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int,
               method: str) -> TrialResult:
     """Run one (sweep value, trial, method) cell of the experiment grid."""
@@ -171,8 +167,11 @@ def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int,
         channels, config = surface_free(channels, config)
 
     if spec.experiment == HARVEST_ONLY:
-        feasible, q = _max_harvest(channels, config)
-        wsr, iters = 0.0, 0
+        # the best harvest the alternation finds: an unreachable threshold
+        # runs it to its stall point
+        unreachable = replace(config, eh_threshold=float("inf"))
+        _, _, _, q = feasibility_check(channels, unreachable)
+        feasible, wsr, iters = q >= config.eh_threshold, 0.0, 0
     else:
         feasible, f0, phi0, _ = feasibility_check(channels, config)
         if method == "fixed-phase":
@@ -290,12 +289,4 @@ def load_experiment_spec(path: str | Path) -> ExperimentSpec:
     """Read an experiment spec file (a JSON object, keys matching
     ExperimentSpec); any other top level, a missing or unknown key or a
     mistyped value raises ValueError."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"malformed experiment spec {path}: the top level "
-                         f"is {type(raw).__name__}, not a JSON object")
-    try:
-        return ExperimentSpec.from_dict(raw)
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ValueError(f"malformed experiment spec {path}: {exc!r}") from exc
+    return _read_object(path, "experiment spec", ExperimentSpec.from_dict)

@@ -14,17 +14,33 @@ Large-scale fading follows a log-distance power law; small-scale fading is
 Rician for the short links around the BS/IRS/ER cluster and Rayleigh for the
 distant IR links.  Every matrix has unit average entry power before the
 path-loss scaling is applied.
+
+A draw takes the ER then the IR positions from the seeded stream, then each
+link through one helper in the order z, h_b[0..K_I), h_r[0..K_I),
+g_b[0..K_E), g_r[0..K_E): a Rician link takes its two angles and then its
+fading, a Rayleigh link its fading only.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+COUNT_FIELDS = ("n_bs_antennas", "n_ir_antennas", "n_er_antennas", "n_irs",
+                "n_ers", "n_streams", "n_elements")
+
+
+def _check_int(name: str, value, low: int | None = None) -> None:
+    """Raise ValueError unless value is an integer (a bool is not) >= low."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (low is not None and value < low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -48,24 +64,13 @@ class SystemConfig:
     antenna_spacing_ratio: float = 0.5  # element spacing over wavelength
 
     def __post_init__(self):
+        for name in COUNT_FIELDS:
+            _check_int(name, getattr(self, name), 0 if name == "n_elements" else 1)
         for name, count in (("rate_weights", self.n_irs),
                             ("eh_weights", self.n_ers)):
             weights = getattr(self, name)
             object.__setattr__(self, name, tuple(map(float, weights))
                                if weights else (1.0,) * count)
-        ints = {
-            "n_bs_antennas": self.n_bs_antennas,
-            "n_ir_antennas": self.n_ir_antennas,
-            "n_er_antennas": self.n_er_antennas,
-            "n_irs": self.n_irs,
-            "n_ers": self.n_ers,
-            "n_streams": self.n_streams,
-        }
-        for name, value in ints.items():
-            if int(value) != value or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if self.n_elements < 0 or int(self.n_elements) != self.n_elements:
-            raise ValueError("n_elements must be a non-negative integer")
         if not 1 <= self.n_streams <= min(self.n_bs_antennas, self.n_ir_antennas):
             raise ValueError("need 1 <= n_streams <= min(n_bs_antennas, n_ir_antennas)")
         if not 0.0 < self.eh_efficiency <= 1.0:
@@ -134,22 +139,6 @@ class ChannelSet:
     g_b: np.ndarray     # (K_E, N_E, N_B)
     g_r: np.ndarray     # (K_E, N_E, M)
 
-    def validate(self, config: SystemConfig) -> None:
-        m, nb = config.n_elements, config.n_bs_antennas
-        expect = {
-            "z": (m, nb),
-            "h_b": (config.n_irs, config.n_ir_antennas, nb),
-            "h_r": (config.n_irs, config.n_ir_antennas, m),
-            "g_b": (config.n_ers, config.n_er_antennas, nb),
-            "g_r": (config.n_ers, config.n_er_antennas, m),
-        }
-        for name, shape in expect.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            if arr.size and not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-
 
 def path_loss_linear(distance: float, exponent: float, pl0_db: float = -30.0,
                      d0: float = 1.0) -> float:
@@ -201,77 +190,71 @@ def _disk_points(rng: np.random.Generator, center_x: float, radius: float,
     return np.column_stack((center_x + r * np.cos(theta), r * np.sin(theta)))
 
 
-def _rician_link(rng, rows, cols, beta, spacing) -> np.ndarray:
-    aoa = rng.uniform(0.0, TWO_PI)
-    aod = rng.uniform(0.0, TWO_PI)
-    return rician_channel(rows, cols, beta, aoa, aod, rng, spacing)
-
-
-def _rayleigh_link(rng, rows, cols) -> np.ndarray:
-    return rician_channel(rows, cols, 0.0, 0.0, 0.0, rng)
-
-
 def generate_scenario(config: SystemConfig, geometry: Geometry,
                       seed: int) -> ChannelSet:
     """Draw node positions and all channel matrices for one trial.
 
     Deterministic given (config, geometry, seed): positions are drawn first
     (ERs then IRs), then the links in the fixed order z, h_b, h_r, g_b, g_r.
+    A zero-length link or a non-finite entry raises ValueError.
     """
     rng = np.random.default_rng(seed)
     m, nb = config.n_elements, config.n_bs_antennas
     ni, ne = config.n_ir_antennas, config.n_er_antennas
-    beta, spacing = config.rician_factor, config.antenna_spacing_ratio
+    geo = geometry
 
-    bs = np.asarray(geometry.bs_position)
-    irs = np.asarray(geometry.irs_position)
-    er_pos = _disk_points(rng, geometry.er_center, geometry.er_radius, config.n_ers)
-    ir_pos = _disk_points(rng, geometry.ir_center, geometry.ir_radius, config.n_irs)
+    bs = np.asarray(geo.bs_position)
+    irs = np.asarray(geo.irs_position)
+    er_pos = _disk_points(rng, geo.er_center, geo.er_radius, config.n_ers)
+    ir_pos = _disk_points(rng, geo.ir_center, geo.ir_radius, config.n_irs)
 
-    def gain(a, b, alpha):
-        dist = float(np.hypot(*(a - b)))
+    def link(src, dst, exponent, rows, cols, rician):
+        dist = float(np.hypot(*(src - dst)))
         if dist <= 0.0:
             raise ValueError("node placement produced a zero-length link")
-        return np.sqrt(path_loss_linear(dist, alpha, geometry.pl0_db, geometry.d0))
+        gain = np.sqrt(path_loss_linear(dist, exponent, geo.pl0_db, geo.d0))
+        if rician:
+            aoa, aod = rng.uniform(0.0, TWO_PI, 2).tolist()
+            fading = rician_channel(rows, cols, config.rician_factor, aoa, aod,
+                                    rng, config.antenna_spacing_ratio)
+        else:
+            fading = rician_channel(rows, cols, 0.0, 0.0, 0.0, rng)
+        return gain * fading
 
     # Short links around the BS/IRS/ER cluster are Rician; the distant IR
     # links (from both the BS and the IRS) are Rayleigh.
-    z = gain(bs, irs, geometry.alpha_bs_irs) * _rician_link(rng, m, nb, beta, spacing)
-
-    h_b = np.empty((config.n_irs, ni, nb), dtype=complex)
-    h_r = np.empty((config.n_irs, ni, m), dtype=complex)
-    for k in range(config.n_irs):
-        h_b[k] = gain(bs, ir_pos[k], geometry.alpha_bs_ir) * _rayleigh_link(rng, ni, nb)
-    for k in range(config.n_irs):
-        h_r[k] = gain(irs, ir_pos[k], geometry.alpha_irs_ir) * _rayleigh_link(rng, ni, m)
-
-    g_b = np.empty((config.n_ers, ne, nb), dtype=complex)
-    g_r = np.empty((config.n_ers, ne, m), dtype=complex)
-    for el in range(config.n_ers):
-        g_b[el] = gain(bs, er_pos[el], geometry.alpha_bs_er) * _rician_link(
-            rng, ne, nb, beta, spacing)
-    for el in range(config.n_ers):
-        g_r[el] = gain(irs, er_pos[el], geometry.alpha_irs_er) * _rician_link(
-            rng, ne, m, beta, spacing)
-
-    channels = ChannelSet(z=z, h_b=h_b, h_r=h_r, g_b=g_b, g_r=g_r)
-    channels.validate(config)
+    channels = ChannelSet(
+        z=link(bs, irs, geo.alpha_bs_irs, m, nb, True),
+        h_b=np.array([link(bs, p, geo.alpha_bs_ir, ni, nb, False) for p in ir_pos]),
+        h_r=np.array([link(irs, p, geo.alpha_irs_ir, ni, m, False) for p in ir_pos]),
+        g_b=np.array([link(bs, p, geo.alpha_bs_er, ne, nb, True) for p in er_pos]),
+        g_r=np.array([link(irs, p, geo.alpha_irs_er, ne, m, True) for p in er_pos]))
+    if not all(np.isfinite(h).all() for h in vars(channels).values()):
+        raise ValueError("a link gain or fading entry is not finite")
     return channels
+
+
+def _read_object(path: str | Path, kind: str, build: Callable[[dict], object]):
+    """Open a JSON file whose top level is an object and return build(raw);
+    a TypeError, KeyError or ValueError from the build is re-raised as a
+    ValueError that names the file."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"malformed {kind} {path}: the top level is "
+                         f"{type(raw).__name__}, not a JSON object")
+    try:
+        return build(raw)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ValueError(f"malformed {kind} {path}: {exc!r}") from exc
 
 
 def load_scenario(path: str | Path) -> tuple[SystemConfig, Geometry, int]:
     """Read a scenario file: a JSON object with "config", "geometry",
-    optional "seed"; any other top level, an unknown key or a mistyped value
-    raises ValueError."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"malformed scenario {path}: the top level is "
-                         f"{type(raw).__name__}, not a JSON object")
-    try:
-        config = SystemConfig(**raw.get("config", {}))
-        geometry = Geometry(**raw.get("geometry", {}))
-        seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed scenario {path}: {exc!r}") from exc
-    return config, geometry, seed
+    optional integer "seed"; any other top level, an unknown key or a
+    mistyped value raises ValueError."""
+    def build(config={}, geometry={}, seed=0):
+        _check_int("seed", seed, 0)
+        return SystemConfig(**config), Geometry(**geometry), seed
+
+    return _read_object(path, "scenario", lambda raw: build(**raw))

@@ -16,7 +16,9 @@ from irs_swipt.linalg import (_squarem, _squarem_point, herm,
 from irs_swipt.metrics import EffectiveChannels
 from irs_swipt.phase import (MmState, PhaseIterate, PhaseQcqpData,
                              assemble_phase_qcqp, mm_prepare, price_bisection)
-from irs_swipt.scenario import ChannelSet, steering_vector
+from irs_swipt.scenario import (TWO_PI, ChannelSet, _disk_points,
+                                path_loss_linear, rician_channel,
+                                steering_vector)
 
 
 def crandn(rng, *shape, scale=1.0):
@@ -409,6 +411,58 @@ def rician_channel_both_terms(rows, cols, beta, aoa, aod, rng,
             + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
     return np.sqrt(beta / (beta + 1.0)) * los + np.sqrt(1.0 / (beta + 1.0)) * nlos
 
+
+
+def _rician_link(rng, rows, cols, beta, spacing) -> np.ndarray:
+    aoa = rng.uniform(0.0, TWO_PI)
+    aod = rng.uniform(0.0, TWO_PI)
+    return rician_channel(rows, cols, beta, aoa, aod, rng, spacing)
+
+
+def _rayleigh_link(rng, rows, cols) -> np.ndarray:
+    return rician_channel(rows, cols, 0.0, 0.0, 0.0, rng)
+
+
+def generate_scenario_loops(config, geometry, seed):
+    """The scenario draw as two link wrappers and four preallocate-and-fill
+    loops, one scalar angle draw at a time (without the final shape and
+    finiteness check).  The reference the one-helper-per-link
+    generate_scenario must equal bit for bit."""
+    rng = np.random.default_rng(seed)
+    m, nb = config.n_elements, config.n_bs_antennas
+    ni, ne = config.n_ir_antennas, config.n_er_antennas
+    beta, spacing = config.rician_factor, config.antenna_spacing_ratio
+
+    bs = np.asarray(geometry.bs_position)
+    irs = np.asarray(geometry.irs_position)
+    er_pos = _disk_points(rng, geometry.er_center, geometry.er_radius, config.n_ers)
+    ir_pos = _disk_points(rng, geometry.ir_center, geometry.ir_radius, config.n_irs)
+
+    def gain(a, b, alpha):
+        dist = float(np.hypot(*(a - b)))
+        if dist <= 0.0:
+            raise ValueError("node placement produced a zero-length link")
+        return np.sqrt(path_loss_linear(dist, alpha, geometry.pl0_db, geometry.d0))
+
+    z = gain(bs, irs, geometry.alpha_bs_irs) * _rician_link(rng, m, nb, beta, spacing)
+
+    h_b = np.empty((config.n_irs, ni, nb), dtype=complex)
+    h_r = np.empty((config.n_irs, ni, m), dtype=complex)
+    for k in range(config.n_irs):
+        h_b[k] = gain(bs, ir_pos[k], geometry.alpha_bs_ir) * _rayleigh_link(rng, ni, nb)
+    for k in range(config.n_irs):
+        h_r[k] = gain(irs, ir_pos[k], geometry.alpha_irs_ir) * _rayleigh_link(rng, ni, m)
+
+    g_b = np.empty((config.n_ers, ne, nb), dtype=complex)
+    g_r = np.empty((config.n_ers, ne, m), dtype=complex)
+    for el in range(config.n_ers):
+        g_b[el] = gain(bs, er_pos[el], geometry.alpha_bs_er) * _rician_link(
+            rng, ne, nb, beta, spacing)
+    for el in range(config.n_ers):
+        g_r[el] = gain(irs, er_pos[el], geometry.alpha_irs_er) * _rician_link(
+            rng, ne, m, beta, spacing)
+
+    return ChannelSet(z=z, h_b=h_b, h_r=h_r, g_b=g_b, g_r=g_r)
 
 def harvest_direct(f, phi, channels, config):
     """Weighted harvested power from the per-ER definition, no library calls."""

@@ -105,6 +105,14 @@ class TestRunCommand:
         assert main(["run", spec]) == 2
         assert "toplevel.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields", [{"trials": 2.5},
+                                        {"sweep": [6, 8.5]}])
+    def test_fractional_count_fails_with_diagnostic(self, tmp_path, capsys,
+                                                    fields):
+        spec = write(tmp_path, "fraction.json", {**spec_doc(), **fields})
+        assert main(["run", spec]) == 2
+        assert "fraction.json" in capsys.readouterr().err
+
     def test_missing_sweep_fails_with_diagnostic(self, tmp_path, capsys):
         doc = spec_doc()
         del doc["sweep"]
@@ -188,7 +196,11 @@ class TestScenarioCommands:
         assert "typo.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [[1, 2], "scenario", None,
-                                     {"config": "abc"}, {"seed": "x"}])
+                                     {"config": "abc"}, {"seed": "x"},
+                                     {"confg": {"n_elements": 4}},
+                                     {**scenario_doc(), "sede": 7},
+                                     {**scenario_doc(), "seed": 3.7},
+                                     {**scenario_doc(), "seed": "7"}])
     def test_non_object_scenario_fails_with_diagnostic(self, tmp_path, capsys,
                                                        doc):
         scen = write(tmp_path, "toplevel.json", doc)
@@ -201,6 +213,13 @@ class TestScenarioCommands:
         scen = write(tmp_path, "string.json", doc)
         assert main(["solve", scen]) == 2
         assert "string.json" in capsys.readouterr().err
+
+    def test_fractional_element_count_fails(self, tmp_path, capsys):
+        doc = scenario_doc()
+        doc["config"]["n_elements"] = 40.0
+        scen = write(tmp_path, "float.json", doc)
+        assert main(["solve", scen]) == 2
+        assert "float.json" in capsys.readouterr().err
 
 
 def test_entry_point_runs():

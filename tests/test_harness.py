@@ -10,6 +10,7 @@ from irs_swipt import (ExperimentSpec, Geometry, SystemConfig, emit_results,
 import irs_swipt.bcd as bcd
 import irs_swipt.feasibility as feasibility
 import irs_swipt.harness as harness
+from irs_swipt.errors import SolverError
 from irs_swipt.harness import (TrialResult, apply_sweep, derive_seed,
                                run_trial)
 from irs_swipt.metrics import surface_free
@@ -212,6 +213,34 @@ class TestRunTrial:
         results = run_experiment(spec)
         assert all(r.feasible and r.iterations >= 1 for r in results)
         assert len(calls) == len(results)
+
+
+    def test_solver_error_scores_the_cell_infeasible(self, monkeypatch):
+        """A SolverError from bcd_solve scores its cell feasible=False,
+        WSR 0, q 0 and 0 iterations, and every other cell is as in an
+        uninjected run.  This pins today's scoring, which the per-trial
+        status column of ROADMAP open item 4 will replace."""
+        spec = quick_spec(sweep=[6.0, 8.0], trials=2, methods=("bcd", "no-irs"))
+        clean = run_experiment(spec)
+        real, calls = harness.bcd_solve, []
+
+        def failing_second_call(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise SolverError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "bcd_solve", failing_second_call)
+        injected = run_experiment(spec)
+        assert len(calls) == sum(r.feasible for r in clean) >= 2
+        changed = [i for i, (a, b) in enumerate(zip(clean, injected))
+                   if a.to_dict() != b.to_dict()]
+        assert len(changed) == 1
+        before, after = clean[changed[0]], injected[changed[0]]
+        assert before.feasible and before.iterations >= 1
+        assert (after.feasible, after.wsr_bits, after.q_watts,
+                after.iterations) == (False, 0.0, 0.0, 0)
+        assert after.seed == before.seed
 
 
 class TestRunExperiment:

@@ -7,7 +7,8 @@ from irs_swipt import (Geometry, SystemConfig, generate_scenario,
                        load_scenario, path_loss_linear, weighted_sum_rate)
 from irs_swipt.scenario import ChannelSet, rician_channel, steering_vector
 
-from helpers import random_precoders, rician_channel_both_terms
+from helpers import (generate_scenario_loops, random_precoders,
+                     rician_channel_both_terms)
 
 
 class TestPathLoss:
@@ -161,6 +162,37 @@ class TestGenerateScenario:
             target = size * path_loss_linear(dist, alpha, geom.pl0_db, geom.d0)
             assert sums[name] / n == pytest.approx(target, rel=0.10), name
 
+    @pytest.mark.parametrize("m", [0, 1, 40, 200])
+    @pytest.mark.parametrize("fields", [
+        {},
+        {"n_irs": 1, "n_ers": 1},
+        {"n_irs": 3, "n_ers": 2, "n_bs_antennas": 6, "n_ir_antennas": 3,
+         "n_streams": 3},
+        {"rician_factor": 0.0},
+    ])
+    def test_equals_loop_reference_bit_for_bit(self, m, fields):
+        cfg = SystemConfig(n_elements=m, **fields)
+        for geom in (Geometry(), Geometry(er_center=4.0, ir_center=100.0)):
+            for seed in range(60):
+                got = generate_scenario(cfg, geom, seed)
+                ref = generate_scenario_loops(cfg, geom, seed)
+                for name in ("z", "h_b", "h_r", "g_b", "g_r"):
+                    a, b = getattr(got, name), getattr(ref, name)
+                    assert a.dtype == b.dtype and a.shape == b.shape, name
+                    np.testing.assert_array_equal(a.view(np.uint64),
+                                                  b.view(np.uint64))
+
+    def test_zero_length_link_raises(self):
+        geom = Geometry(er_radius=0.0, irs_position=(5.0, 0.0))
+        with pytest.raises(ValueError, match="zero-length"):
+            generate_scenario(SystemConfig(), geom, seed=0)
+
+    def test_non_finite_gain_raises(self):
+        # the path-loss law overflows to inf without raising
+        geom = Geometry(pl0_db=3080.0, d0=1e3)
+        with pytest.raises(ValueError, match="not finite"):
+            generate_scenario(SystemConfig(), geom, seed=0)
+
     def test_irs_follows_er_center_by_default(self):
         geom = Geometry(er_center=7.5)
         assert geom.irs_position == (7.5, 2.0)
@@ -172,6 +204,14 @@ class TestConfigValidation:
     def test_stream_bound(self):
         with pytest.raises(ValueError):
             SystemConfig(n_streams=3, n_ir_antennas=2)
+
+    @pytest.mark.parametrize("fields", [
+        {"n_elements": 40.0}, {"n_irs": 2.0}, {"n_ers": True},
+        {"n_elements": -1}, {"n_streams": 0},
+    ])
+    def test_counts_take_integers_only(self, fields):
+        with pytest.raises(ValueError):
+            SystemConfig(**fields)
 
     def test_weight_lengths(self):
         with pytest.raises(ValueError):
