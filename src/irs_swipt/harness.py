@@ -67,6 +67,8 @@ class ExperimentSpec:
         if self.experiment == "wsr-vs-M" and not all(
                 float(v).is_integer() for v in self.sweep):
             raise ValueError(f"wsr-vs-M sweeps whole element counts, got {self.sweep}")
+        for value in self.sweep:    # a bad value fails here, before any cell
+            apply_sweep(self.experiment, self.config, self.geometry, value)
         self.methods = tuple(self.methods)
         bad = [m for m in self.methods if m not in METHODS]
         if bad:

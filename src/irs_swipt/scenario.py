@@ -15,10 +15,16 @@ Rician for the short links around the BS/IRS/ER cluster and Rayleigh for the
 distant IR links.  Every matrix has unit average entry power before the
 path-loss scaling is applied.
 
-A draw takes the ER then the IR positions from the seeded stream, then each
-link through one helper in the order z, h_b[0..K_I), h_r[0..K_I),
-g_b[0..K_E), g_r[0..K_E): a Rician link takes its two angles and then its
-fading, a Rayleigh link its fading only.
+A draw takes the ER then the IR positions from the seeded stream, then the
+links in the order z, h_b[0..K_I), h_r[0..K_I), g_b[0..K_E), g_r[0..K_E):
+a Rician link takes its two angles and then its fading (a real, then an
+imaginary block), a Rayleigh link its fading only.  It reads that order in
+as few calls as it has gap-free stretches: one call of uniforms for the
+positions and z's angles, one of normals for the fading of z, h_b and h_r,
+then one of each per ER link.  numpy's Generator caches no normals, so this
+is the same stream as one call per block.  The complex combine, the
+line-of-sight terms, the Rician mix and the path-loss scaling then run once
+per channel family over all of its links.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -153,41 +160,40 @@ def path_loss_linear(distance: float, exponent: float, pl0_db: float = -30.0,
     return float(10.0 ** (pl0_db / 10.0) * (distance / d0) ** (-exponent))
 
 
-def steering_vector(n: int, angle: float, spacing_ratio: float = 0.5) -> np.ndarray:
-    """Uniform-linear-array response: entry m is exp(j*2*pi*spacing*m*sin(angle))."""
+def steering_vector(n: int, angle: float | np.ndarray,
+                    spacing_ratio: float = 0.5) -> np.ndarray:
+    """Uniform-linear-array response: entry m is exp(j*2*pi*spacing*m*sin(angle)).
+
+    An array of angles gives one response per angle, stacked along a new
+    last axis of length n.
+    """
     if n < 1:
         raise ValueError("array size must be at least 1")
     m = np.arange(n)
-    return np.exp(1j * TWO_PI * spacing_ratio * m * np.sin(angle))
+    return np.exp(1j * TWO_PI * spacing_ratio * m * np.sin(angle)[..., None])
 
 
-def rician_channel(rows: int, cols: int, beta: float, aoa: float, aod: float,
-                   rng: np.random.Generator,
-                   spacing_ratio: float = 0.5) -> np.ndarray:
-    """Unit-average-power Rician fading matrix.
+def _rician_mix(nlos: np.ndarray, aoa: float | np.ndarray,
+                aod: float | np.ndarray, beta: float,
+                spacing_ratio: float) -> np.ndarray:
+    """Unit-average-power Rician fading of a stack of links.
 
-    sqrt(beta/(beta+1)) * a_rows(aoa) a_cols(aod)^H + sqrt(1/(beta+1)) * N,
-    with N i.i.d. standard complex Gaussian.  beta = 0 reduces to Rayleigh.
+    sqrt(beta/(beta+1)) * a_rows(aoa) a_cols(aod)^H + sqrt(1/(beta+1)) * nlos
+    per link, with nlos of shape (..., rows, cols) and one angle pair per
+    link.  beta = 0 or an empty link returns nlos itself.
     """
-    if beta < 0.0:
-        raise ValueError("Rician factor must be non-negative")
-    if rows == 0 or cols == 0:
-        return np.zeros((rows, cols), dtype=complex)
-    nlos = (rng.standard_normal((rows, cols))
-            + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
-    if beta == 0.0:     # the line-of-sight term draws nothing from rng
+    if beta == 0.0 or nlos.size == 0:
         return nlos
-    los = np.outer(steering_vector(rows, aoa, spacing_ratio),
-                   steering_vector(cols, aod, spacing_ratio).conj())
+    rows, cols = nlos.shape[-2:]
+    los = (steering_vector(rows, aoa, spacing_ratio)[..., :, None]
+           * steering_vector(cols, aod, spacing_ratio).conj()[..., None, :])
     return np.sqrt(beta / (beta + 1.0)) * los + np.sqrt(1.0 / (beta + 1.0)) * nlos
 
 
-def _disk_points(rng: np.random.Generator, center_x: float, radius: float,
-                 count: int) -> np.ndarray:
-    """Uniform points over a disk (sqrt-radius sampling), shape (count, 2)."""
-    r = radius * np.sqrt(rng.random(count))
-    theta = TWO_PI * rng.random(count)
-    return np.column_stack((center_x + r * np.cos(theta), r * np.sin(theta)))
+def _blocks(a: np.ndarray, *sizes: int) -> list[np.ndarray]:
+    """Consecutive leading slices of a with the given lengths."""
+    bounds = list(accumulate(sizes, initial=0))
+    return [a[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def generate_scenario(config: SystemConfig, geometry: Geometry,
@@ -201,34 +207,67 @@ def generate_scenario(config: SystemConfig, geometry: Geometry,
     rng = np.random.default_rng(seed)
     m, nb = config.n_elements, config.n_bs_antennas
     ni, ne = config.n_ir_antennas, config.n_er_antennas
+    k_i, k_e = config.n_irs, config.n_ers
+    beta, spacing = config.rician_factor, config.antenna_spacing_ratio
     geo = geometry
 
-    bs = np.asarray(geo.bs_position)
-    irs = np.asarray(geo.irs_position)
-    er_pos = _disk_points(rng, geo.er_center, geo.er_radius, config.n_ers)
-    ir_pos = _disk_points(rng, geo.ir_center, geo.ir_radius, config.n_irs)
+    # The stream in order: the ERs' disk radii and angles, the IRs', z's two
+    # angles (one stretch of uniforms); the fading of z, h_b[0..K_I) and
+    # h_r[0..K_I) (one stretch of normals); then g_b[0..K_E) and
+    # g_r[0..K_E), one link at a time: two angles, then the fading.
+    er_r, er_t, ir_r, ir_t, z_angles = _blocks(
+        rng.random(2 * (k_e + k_i) + 2), k_e, k_e, k_i, k_i, 2)
+    z_x, hb_x, hr_x = _blocks(
+        rng.standard_normal(2 * (m * nb + k_i * ni * (nb + m))),
+        2 * m * nb, 2 * k_i * ni * nb, 2 * k_i * ni * m)
+    er_angles = np.empty((2, k_e, 2))
+    gb_x, gr_x = np.empty((k_e, 2, ne, nb)), np.empty((k_e, 2, ne, m))
+    for family, buf in enumerate((gb_x, gr_x)):
+        for el in range(k_e):
+            rng.random(out=er_angles[family, el])
+            rng.standard_normal(out=buf[el])
+    er_angles *= TWO_PI     # bitwise rng.uniform(0, 2 pi)
 
-    def link(src, dst, exponent, rows, cols, rician):
-        dist = float(np.hypot(*(src - dst)))
-        if dist <= 0.0:
-            raise ValueError("node placement produced a zero-length link")
-        gain = np.sqrt(path_loss_linear(dist, exponent, geo.pl0_db, geo.d0))
-        if rician:
-            aoa, aod = rng.uniform(0.0, TWO_PI, 2).tolist()
-            fading = rician_channel(rows, cols, config.rician_factor, aoa, aod,
-                                    rng, config.antenna_spacing_ratio)
-        else:
-            fading = rician_channel(rows, cols, 0.0, 0.0, 0.0, rng)
-        return gain * fading
+    def disk(u_r, u_theta, center_x, radius):
+        """Uniform points over a disk (sqrt-radius sampling), shape (2, count)."""
+        r = radius * np.sqrt(u_r)
+        theta = TWO_PI * u_theta
+        return np.array((center_x + r * np.cos(theta), r * np.sin(theta)))
+
+    # The link lengths, BS -> (IRS, IRs, ERs) then IRS -> (IRs, ERs), and
+    # one path-loss amplitude gain per link in that order.
+    bs = np.asarray(geo.bs_position)[:, None]
+    irs = np.asarray(geo.irs_position)[:, None]
+    ends = np.concatenate((irs, disk(ir_r, ir_t, geo.ir_center, geo.ir_radius),
+                           disk(er_r, er_t, geo.er_center, geo.er_radius)),
+                          axis=1)
+    dist = np.hypot(*np.concatenate((bs - ends, irs - ends[:, 1:]),
+                                    axis=1)).tolist()
+    if min(dist) <= 0.0:
+        raise ValueError("node placement produced a zero-length link")
+    exponents = ([geo.alpha_bs_irs] + [geo.alpha_bs_ir] * k_i
+                 + [geo.alpha_bs_er] * k_e + [geo.alpha_irs_ir] * k_i
+                 + [geo.alpha_irs_er] * k_e)
+    gain = np.sqrt([path_loss_linear(d, alpha, geo.pl0_db, geo.d0)
+                    for d, alpha in zip(dist, exponents)])[:, None, None]
+    z_gain, hb_gain, gb_gain, hr_gain, gr_gain = _blocks(
+        gain, 1, k_i, k_e, k_i, k_e)
+
+    root2 = np.sqrt(2.0)
+
+    def fading(x):
+        """Unit-power complex Gaussian entries from (..., 2, rows, cols)."""
+        return (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / root2
 
     # Short links around the BS/IRS/ER cluster are Rician; the distant IR
     # links (from both the BS and the IRS) are Rayleigh.
     channels = ChannelSet(
-        z=link(bs, irs, geo.alpha_bs_irs, m, nb, True),
-        h_b=np.array([link(bs, p, geo.alpha_bs_ir, ni, nb, False) for p in ir_pos]),
-        h_r=np.array([link(irs, p, geo.alpha_irs_ir, ni, m, False) for p in ir_pos]),
-        g_b=np.array([link(bs, p, geo.alpha_bs_er, ne, nb, True) for p in er_pos]),
-        g_r=np.array([link(irs, p, geo.alpha_irs_er, ne, m, True) for p in er_pos]))
+        z=z_gain[0] * _rician_mix(fading(z_x.reshape(2, m, nb)),
+                                  *(TWO_PI * z_angles), beta, spacing),
+        h_b=hb_gain * fading(hb_x.reshape(k_i, 2, ni, nb)),
+        h_r=hr_gain * fading(hr_x.reshape(k_i, 2, ni, m)),
+        g_b=gb_gain * _rician_mix(fading(gb_x), *er_angles[0].T, beta, spacing),
+        g_r=gr_gain * _rician_mix(fading(gr_x), *er_angles[1].T, beta, spacing))
     if not all(np.isfinite(h).all() for h in vars(channels).values()):
         raise ValueError("a link gain or fading entry is not finite")
     return channels

@@ -16,8 +16,7 @@ from irs_swipt.linalg import (_squarem, _squarem_point, herm,
 from irs_swipt.metrics import EffectiveChannels
 from irs_swipt.phase import (MmState, PhaseIterate, PhaseQcqpData,
                              assemble_phase_qcqp, mm_prepare, price_bisection)
-from irs_swipt.scenario import (TWO_PI, ChannelSet, _disk_points,
-                                path_loss_linear, rician_channel,
+from irs_swipt.scenario import (TWO_PI, ChannelSet, path_loss_linear,
                                 steering_vector)
 
 
@@ -397,6 +396,35 @@ def phase_grid_best(q, w, q_hat, points=720):
     if not feasible.any():
         return None
     return float(obj[feasible].max())
+
+
+def rician_channel(rows: int, cols: int, beta: float, aoa: float, aod: float,
+                   rng: np.random.Generator,
+                   spacing_ratio: float = 0.5) -> np.ndarray:
+    """Unit-average-power Rician fading matrix.
+
+    sqrt(beta/(beta+1)) * a_rows(aoa) a_cols(aod)^H + sqrt(1/(beta+1)) * N,
+    with N i.i.d. standard complex Gaussian.  beta = 0 reduces to Rayleigh.
+    """
+    if beta < 0.0:
+        raise ValueError("Rician factor must be non-negative")
+    if rows == 0 or cols == 0:
+        return np.zeros((rows, cols), dtype=complex)
+    nlos = (rng.standard_normal((rows, cols))
+            + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    if beta == 0.0:     # the line-of-sight term draws nothing from rng
+        return nlos
+    los = np.outer(steering_vector(rows, aoa, spacing_ratio),
+                   steering_vector(cols, aod, spacing_ratio).conj())
+    return np.sqrt(beta / (beta + 1.0)) * los + np.sqrt(1.0 / (beta + 1.0)) * nlos
+
+
+def _disk_points(rng: np.random.Generator, center_x: float, radius: float,
+                 count: int) -> np.ndarray:
+    """Uniform points over a disk (sqrt-radius sampling), shape (count, 2)."""
+    r = radius * np.sqrt(rng.random(count))
+    theta = TWO_PI * rng.random(count)
+    return np.column_stack((center_x + r * np.cos(theta), r * np.sin(theta)))
 
 
 def rician_channel_both_terms(rows, cols, beta, aoa, aod, rng,

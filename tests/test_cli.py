@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 import irs_swipt
+from irs_swipt import harness
 from irs_swipt.cli import main
+
+from helpers import count_calls
 
 
 def scenario_doc():
@@ -112,6 +115,14 @@ class TestRunCommand:
         spec = write(tmp_path, "fraction.json", {**spec_doc(), **fields})
         assert main(["run", spec]) == 2
         assert "fraction.json" in capsys.readouterr().err
+
+    def test_bad_sweep_value_fails_before_any_cell(self, tmp_path, capsys,
+                                                   monkeypatch):
+        cells = count_calls(monkeypatch, harness, "run_trial")
+        spec = write(tmp_path, "negative.json", {**spec_doc(), "sweep": [6, -4]})
+        assert main(["run", spec]) == 2
+        assert cells == []
+        assert "negative.json" in capsys.readouterr().err
 
     def test_missing_sweep_fails_with_diagnostic(self, tmp_path, capsys):
         doc = spec_doc()

@@ -314,6 +314,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             quick_spec(experiment="max-harvest-vs-distance",
                        methods=("fixed-phase",))
+        # every sweep value is bound when the spec is built
+        with pytest.raises(ValueError, match="n_elements"):
+            quick_spec(sweep=[8.0, -4.0])
+        with pytest.raises(ValueError, match="er_center"):
+            quick_spec(experiment="max-harvest-vs-distance", sweep=[5.0, -1.0])
 
 
 class TestEmitResults:

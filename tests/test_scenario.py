@@ -5,9 +5,10 @@ import pytest
 
 from irs_swipt import (Geometry, SystemConfig, generate_scenario,
                        load_scenario, path_loss_linear, weighted_sum_rate)
-from irs_swipt.scenario import ChannelSet, rician_channel, steering_vector
+from irs_swipt.harness import derive_seed
+from irs_swipt.scenario import ChannelSet, steering_vector
 
-from helpers import (generate_scenario_loops, random_precoders,
+from helpers import (generate_scenario_loops, random_precoders, rician_channel,
                      rician_channel_both_terms)
 
 
@@ -52,6 +53,14 @@ class TestSteeringVector:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             steering_vector(0, 0.0)
+
+    def test_angle_array_stacks_single_angle_responses(self):
+        angles = np.random.default_rng(6).uniform(0, 2 * np.pi, (3, 4))
+        stacked = steering_vector(5, angles, 0.25)
+        assert stacked.shape == (3, 4, 5)
+        for idx in np.ndindex(angles.shape):
+            np.testing.assert_array_equal(
+                stacked[idx], steering_vector(5, float(angles[idx]), 0.25))
 
 
 class TestRicianChannel:
@@ -181,6 +190,27 @@ class TestGenerateScenario:
                     assert a.dtype == b.dtype and a.shape == b.shape, name
                     np.testing.assert_array_equal(a.view(np.uint64),
                                                   b.view(np.uint64))
+
+    @pytest.mark.parametrize("fields", [
+        {"n_elements": 40},
+        {"n_elements": 40, "n_er_antennas": 1, "antenna_spacing_ratio": 0.25},
+        {"n_elements": 40, "n_er_antennas": 3, "antenna_spacing_ratio": 0.25},
+    ])
+    def test_equals_loop_reference_on_harvest_grid_seeds(self, fields):
+        # the 64-bit per-cell seeds and ER placements of the harvest sweep
+        cfg = SystemConfig(**fields)
+        for si, x_er in enumerate(range(4, 11)):
+            geom = Geometry().with_er_center(float(x_er))
+            for ti in range(8):
+                for method in ("bcd", "no-irs"):
+                    seed = derive_seed(1, si, ti, method)
+                    got = generate_scenario(cfg, geom, seed)
+                    ref = generate_scenario_loops(cfg, geom, seed)
+                    for name in ("z", "h_b", "h_r", "g_b", "g_r"):
+                        a, b = getattr(got, name), getattr(ref, name)
+                        assert a.dtype == b.dtype and a.shape == b.shape, name
+                        np.testing.assert_array_equal(a.view(np.uint64),
+                                                      b.view(np.uint64))
 
     def test_zero_length_link_raises(self):
         geom = Geometry(er_radius=0.0, irs_position=(5.0, 0.0))
