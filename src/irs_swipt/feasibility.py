@@ -7,10 +7,11 @@ SCA ascent step aligns the phases with the harvest gradient, read from the
 ER composites the precoder step was built on, so no M x M form is
 assembled.  Both steps can only increase Q.  A map is a phase step and the
 precoder step at the new phases, building only gbar and G; FEAS_MAX_ITER
-counts maps.  The maps run through the phase block's SQUAREM cycle: after
-two maps, the unit-modulus extrapolation of their phases (one more G build
-and precoder step) is kept if its Q is no lower than the second map's, and
-mapped once more.  The alternation stops as soon as a map's Q clears the
+counts maps.  The maps run through the SQUAREM cycle (linalg._squarem; the
+phase block uses restarted momentum instead): after two maps, the
+unit-modulus extrapolation of their phases (one more G build and precoder
+step) is kept if its Q is no lower than the second map's, and mapped once
+more.  The alternation stops as soon as a map's Q clears the
 threshold (the problem is then feasible and the point initializes the BCD
 solver), changes by at most STALL_RTOL relative, or the maps run out.  No
 extrapolation comes before two maps, so a check decided within two steps

@@ -28,7 +28,7 @@ from .errors import SolverError
 from .feasibility import feasibility_check
 from .metrics import surface_free
 from .scenario import (ChannelSet, Geometry, SystemConfig, _check_int,
-                       _read_object, generate_scenario)
+                       _check_list, _read_object, generate_scenario)
 
 EXPERIMENTS = (
     "max-harvest-vs-distance",
@@ -60,6 +60,7 @@ class ExperimentSpec:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"expected one of {EXPERIMENTS}")
+        self.sweep = [float(v) for v in _check_list("sweep", self.sweep)]
         if not self.sweep:
             raise ValueError("sweep must be non-empty")
         _check_int("trials", self.trials, 1)
@@ -69,7 +70,7 @@ class ExperimentSpec:
             raise ValueError(f"wsr-vs-M sweeps whole element counts, got {self.sweep}")
         for value in self.sweep:    # a bad value fails here, before any cell
             apply_sweep(self.experiment, self.config, self.geometry, value)
-        self.methods = tuple(self.methods)
+        self.methods = _check_list("methods", self.methods)
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ValueError(f"unknown methods {bad}; expected subset of {METHODS}")
@@ -83,7 +84,6 @@ class ExperimentSpec:
             d["config"] = SystemConfig(**d["config"])
         if "geometry" in d:
             d["geometry"] = Geometry(**d["geometry"])
-        d["sweep"] = [float(x) for x in d["sweep"]]
         return cls(**d)
 
     def to_dict(self) -> dict:

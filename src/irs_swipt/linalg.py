@@ -117,11 +117,12 @@ def _squarem_point(phi0: np.ndarray, phi1: np.ndarray,
 
 
 def _squarem(mapped, offer, x, done: bool = False):
-    """SQUAREM (Varadhan & Roland 2008): map x with mapped(x) = (T(x), done),
-    which counts the map and applies the caller's stop test, until done
-    (at once if given).  Each cycle maps x0 to x1 and x2; offer(x0, x1, x2)
-    is the caller's extrapolated point if it keeps one, else None, and a
-    kept point is mapped once more.  Returns the last map's output."""
+    """SQUAREM (Varadhan & Roland 2008), the feasibility alternation's
+    accelerator: map x with mapped(x) = (T(x), done), which counts the map
+    and applies the caller's stop test, until done (at once if given).
+    Each cycle maps x0 to x1 and x2; offer(x0, x1, x2) is the caller's
+    extrapolated point if it keeps one, else None, and a kept point is
+    mapped once more.  Returns the last map's output."""
     while not done:
         x0 = x
         x1, done = mapped(x0)

@@ -34,31 +34,37 @@ chosen so the constraint slackness J(p) = 2 Re{phi(p)^H w} hits q_hat;
 J is non-decreasing in p, so the shared bracketed root search applies.
 
 One MM map T(phi), price_bisection, is that priced solve at the anchor
-phi, prepared as the next anchor.  phase_solve runs T through the SQUAREM
-cycle it shares with the feasibility alternation (linalg._squarem): after
-phi_1 = T(phi_0) and phi_2 = T(phi_1) the unit-modulus extrapolation of the
-three is kept only if it meets the true harvest constraint with f no
-higher than f(phi_2), and is then mapped once more.  Every T counts
-against the map budget and adds one trajectory entry, and the kept point
-is never returned unmapped, so each recorded iterate is a feasible MM
-output and f never rises along the trajectory.
+phi, prepared as the next anchor.  phase_solve runs T with restarted
+Nesterov momentum (O'Donoghue & Candes 2015): from the third map after the
+start or after a restart it maps from y_k = phi_k + beta_k (phi_k -
+phi_{k-1}), beta_k = (k-1)/(k+2), which is not projected onto the unit
+circle.  q, w and the projection Y^H phi are affine in the anchor, so the
+state at y_k is the same combination of the last two states, with no
+product with the factors.  The harvest form is convex, so its
+linearization at any anchor is a global lower bound and the map from y_k
+meets the true constraint like any other.  That map is kept when f there is
+no higher than f(phi_k) and the true harvest constraint holds; otherwise,
+or when its priced solve fails, the loop restarts (k = 0) with the plain
+map T(phi_k).  Every priced solve counts against the map budget and only
+kept maps add a trajectory entry, so each recorded iterate is a feasible,
+unit-modulus MM output and f never rises along the trajectory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleSubproblemError
-from .linalg import (MAX_DOUBLINGS, _bracketed_root, _squarem, _squarem_point,
-                     frob_sq, herm, unit_phase)
+from .errors import InfeasibleSubproblemError, SolverError
+from .linalg import MAX_DOUBLINGS, _bracketed_root, frob_sq, herm, unit_phase
 from .scenario import ChannelSet, SystemConfig
 
 
 MM_EPS = 1e-6
-MM_MAX_ITER = 200
+MM_MAX_ITER = 175
 
 
 @dataclass
@@ -87,14 +93,24 @@ class PhaseQcqpData:
 
 @dataclass
 class MmState:
-    """One majorization anchor: the linearized subproblem max 2Re{phi^H q}."""
+    """One majorization anchor: the linearized subproblem max 2Re{phi^H q}.
 
-    anchor: np.ndarray      # (M,) unit-modulus anchor phi^(n)
+    At an extrapolated anchor (mm_extrapolate) f and the reflected harvest
+    are not evaluated and read nan; the priced map reads neither."""
+
+    anchor: np.ndarray      # (M,) anchor phi^(n), unit-modulus unless extrapolated
+    y_proj: np.ndarray      # Y^H anchor
     q: np.ndarray           # (lam_max I - Xi) anchor - v*
     q_hat: float            # linearized harvest right-hand side
     w: np.ndarray           # g* + Upsilon anchor, the linearized harvest gradient
     objective: float        # f(anchor)
     reflected: float        # anchor^H Upsilon anchor + 2 Re{anchor^H g*}
+
+    @cached_property
+    def affine(self) -> np.ndarray:
+        """[anchor, q, w, Y^H anchor]: the fields affine in the anchor, in
+        one array, so a combination of two states is one combination."""
+        return np.concatenate((self.anchor, self.q, self.w, self.y_proj))
 
 
 class PhaseIterate(NamedTuple):
@@ -155,6 +171,7 @@ def mm_prepare(data: PhaseQcqpData, phi_anchor: np.ndarray) -> MmState:
     upsilon_form = float(np.vdot(y_proj, y_proj).real)
     return MmState(
         anchor=phi_anchor,
+        y_proj=y_proj,
         q=data.lam_max * phi_anchor - data.xi_factor @ x_proj - data.v_conj,
         q_hat=data.q_resid + upsilon_form,
         w=data.g_conj + data.upsilon_factor @ y_proj,
@@ -162,6 +179,20 @@ def mm_prepare(data: PhaseQcqpData, phi_anchor: np.ndarray) -> MmState:
                         + 2.0 * np.vdot(phi_anchor, data.v_conj).real),
         reflected=upsilon_form
         + 2.0 * float(np.vdot(phi_anchor, data.g_conj).real))
+
+
+def mm_extrapolate(cur: MmState, prev: MmState, beta: float,
+                   data: PhaseQcqpData) -> MmState:
+    """The state at y = cur + beta (cur - prev), off the unit circle.  The
+    anchor, q, w and Y^H anchor are affine in the anchor, so each is the
+    same combination of the two states' fields, and q_hat = q_resid +
+    ||Y^H y||^2 follows with no product with the factors."""
+    m = cur.anchor.shape[0]
+    affine = (1.0 + beta) * cur.affine - beta * prev.affine
+    y_proj = affine[3 * m:]
+    return MmState(anchor=affine[:m], y_proj=y_proj, q=affine[m:2 * m],
+                   q_hat=data.q_resid + float(np.vdot(y_proj, y_proj).real),
+                   w=affine[2 * m:3 * m], objective=np.nan, reflected=np.nan)
 
 
 def phase_closed_form(p: float, state: MmState) -> np.ndarray:
@@ -204,9 +235,12 @@ def price_bisection(state: MmState,
         # harvest gradient).  J(p) only approaches the limit asymptotically,
         # so no bracket exists; the feasible set is a vanishing neighborhood
         # of the aligned point, which also contains the anchor.  Keeping the
-        # better of the two preserves the descent argument.
-        aligned = unit_phase(state.w)
-        best = max((aligned, state.anchor),
+        # better of the two preserves the descent argument.  An anchor off
+        # the unit circle (an extrapolated one) is not a candidate.
+        candidates = [unit_phase(state.w)]
+        if np.max(np.abs(np.abs(state.anchor) - 1.0)) <= 1e-12:
+            candidates.append(state.anchor)
+        best = max(candidates,
                    key=lambda phi: float(np.real(np.vdot(phi, state.q))))
         return mm_prepare(data, best), float(2 ** MAX_DOUBLINGS)
 
@@ -217,34 +251,50 @@ def price_bisection(state: MmState,
 def phase_solve(u: np.ndarray, w: np.ndarray, f: np.ndarray,
                 channels: ChannelSet, phi_init: np.ndarray,
                 config: SystemConfig) -> tuple[np.ndarray, list[PhaseIterate]]:
-    """SQUAREM-accelerated MM over priced subproblems, up to MM_MAX_ITER maps.
+    """MM over priced subproblems with restarted momentum, up to MM_MAX_ITER
+    priced solves.
 
     Needs M > 0 and a unit-modulus phi_init that meets the true harvest
     constraint with f (bcd_solve checks every sweep); every iterate then
     remains feasible and f(phi) is non-increasing.  The trajectory holds
-    phi_init and one entry per MM map; the loop stops when f changes by at
-    most MM_EPS relative over one map.
+    phi_init and one entry per kept map; the loop stops when f changes by
+    at most MM_EPS relative over one kept map.
     """
     data = assemble_phase_qcqp(u, w, f, channels, config)
-    state = mm_prepare(data, np.asarray(phi_init, dtype=complex))
+    state = prev = mm_prepare(data, np.asarray(phi_init, dtype=complex))
     trajectory = [PhaseIterate(state.objective,
                                state.reflected + data.direct_harvest)]
-
-    def mm_map(start: MmState) -> tuple[MmState, bool]:
-        """T(start), recorded; True once f has settled or the maps ran out."""
-        nxt = price_bisection(start, data)[0]
-        f_prev, f_new = trajectory[-1].objective, nxt.objective
-        trajectory.append(PhaseIterate(f_new,
+    k = maps = 0        # k: maps since the start or the last restart
+    while maps < MM_MAX_ITER:
+        nxt = None
+        if k >= 2:
+            maps += 1
+            nxt = _momentum_map(state, prev, (k - 1) / (k + 2), data)
+            if nxt is None:
+                k = 0
+                if maps == MM_MAX_ITER:
+                    break
+        if nxt is None:
+            maps += 1
+            nxt = price_bisection(state, data)[0]
+        trajectory.append(PhaseIterate(nxt.objective,
                                        nxt.reflected + data.direct_harvest))
-        return nxt, (len(trajectory) > MM_MAX_ITER or abs(f_new - f_prev)
-                     <= MM_EPS * max(abs(f_new), 1e-30))
-
-    def offer(x0: MmState, x1: MmState, x2: MmState) -> MmState | None:
-        phi_x = _squarem_point(x0.anchor, x1.anchor, x2.anchor)
-        jump = None if phi_x is None else mm_prepare(data, phi_x)
-        keep = (jump is not None and jump.reflected >= data.q_resid
-                and jump.objective <= x2.objective)
-        return jump if keep else None
-
-    state = _squarem(mm_map, offer, state, MM_MAX_ITER < 1)
+        prev, state, k = state, nxt, k + 1
+        if (abs(state.objective - prev.objective)
+                <= MM_EPS * max(abs(state.objective), 1e-30)):
+            break
     return state.anchor, trajectory
+
+
+def _momentum_map(cur: MmState, prev: MmState, beta: float,
+                  data: PhaseQcqpData) -> MmState | None:
+    """T(y) at y = cur + beta (cur - prev) if it meets the true harvest
+    constraint with f no higher than f(cur); None, a restart, otherwise or
+    when the priced solve at y fails."""
+    try:
+        nxt = price_bisection(mm_extrapolate(cur, prev, beta, data), data)[0]
+    except SolverError:
+        return None
+    if nxt.objective <= cur.objective and nxt.reflected >= data.q_resid:
+        return nxt
+    return None

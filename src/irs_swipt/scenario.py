@@ -50,6 +50,17 @@ def _check_int(name: str, value, low: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def _check_list(name: str, value, length: int | None = None) -> tuple:
+    """value as a tuple; raise ValueError unless it is a list, tuple or
+    array (a string is not) with exactly length entries, if length is given."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    if length is not None and len(value) != length:
+        raise ValueError(f"{name} must hold exactly {length} numbers, "
+                         f"got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Scalar system parameters (antenna counts, powers, weights, noise)."""
@@ -75,7 +86,7 @@ class SystemConfig:
             _check_int(name, getattr(self, name), 0 if name == "n_elements" else 1)
         for name, count in (("rate_weights", self.n_irs),
                             ("eh_weights", self.n_ers)):
-            weights = getattr(self, name)
+            weights = _check_list(name, getattr(self, name))
             object.__setattr__(self, name, tuple(map(float, weights))
                                if weights else (1.0,) * count)
         if not 1 <= self.n_streams <= min(self.n_bs_antennas, self.n_ir_antennas):
@@ -123,8 +134,9 @@ class Geometry:
     def __post_init__(self):
         if self.irs_position is None:
             object.__setattr__(self, "irs_position", (self.er_center, 2.0))
-        object.__setattr__(self, "bs_position", tuple(map(float, self.bs_position)))
-        object.__setattr__(self, "irs_position", tuple(map(float, self.irs_position)))
+        for name in ("bs_position", "irs_position"):
+            object.__setattr__(self, name, tuple(
+                map(float, _check_list(name, getattr(self, name), 2))))
         for name in ("er_center", "ir_center", "er_radius", "ir_radius"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")

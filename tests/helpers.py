@@ -188,6 +188,7 @@ def mm_prepare_two_projections(data, phi_anchor):
     y_proj = _project_one(data.upsilon_factor, phi_anchor)
     return MmState(
         anchor=phi_anchor,
+        y_proj=y_proj,
         q=data.lam_max * phi_anchor - data.xi_factor @ x_proj - data.v.conj(),
         q_hat=data.q_resid + float(np.real(np.vdot(y_proj, y_proj))),
         w=data.g.conj() + data.upsilon_factor @ y_proj,
@@ -206,9 +207,9 @@ def phase_solve_plain(u, w, f, channels, phi_init, config, eps=1e-6,
                       n_max=200):
     """The phase block as plain MM: one map price_bisection(state) per
     step, stopped when f changes by at most eps relative or after n_max
-    maps.  The reference for phase.phase_solve's SQUAREM loop (it uses the
-    library's map, so the two differ only in how they sequence it); returns
-    (phi, trajectory) as phase_solve does."""
+    maps.  The reference for phase.phase_solve's momentum loop (it uses the
+    library's map, so the two differ only in the anchors they map from);
+    returns (phi, trajectory) as phase_solve does."""
     data = assemble_phase_qcqp(u, w, f, channels, config)
     state = mm_prepare(data, np.asarray(phi_init, dtype=complex))
     trajectory = [PhaseIterate(state.objective,

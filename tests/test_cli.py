@@ -116,6 +116,19 @@ class TestRunCommand:
         assert main(["run", spec]) == 2
         assert "fraction.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, fields", [
+        ("sweep", {"sweep": "45"}), ("methods", {"methods": "no-irs"}),
+        ("rate_weights", {"config": {"n_elements": 10, "rate_weights": "12"}}),
+        ("bs_position", {"geometry": {"bs_position": [0.0, 0.0, 0.0]}})])
+    def test_string_or_wrong_length_list_fails_before_any_cell(
+            self, tmp_path, capsys, monkeypatch, name, fields):
+        cells = count_calls(monkeypatch, harness, "run_trial")
+        spec = write(tmp_path, "lists.json", {**spec_doc(), **fields})
+        assert main(["run", spec]) == 2
+        assert cells == []
+        err = capsys.readouterr().err
+        assert "lists.json" in err and f"{name} must" in err
+
     def test_bad_sweep_value_fails_before_any_cell(self, tmp_path, capsys,
                                                    monkeypatch):
         cells = count_calls(monkeypatch, harness, "run_trial")

@@ -314,6 +314,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             quick_spec(experiment="max-harvest-vs-distance",
                        methods=("fixed-phase",))
+        # a string is not split into characters: "45" ran M = 4 and 5
+        with pytest.raises(ValueError, match="^sweep must be a list"):
+            quick_spec(sweep="45")
+        with pytest.raises(ValueError, match="^methods must be a list"):
+            quick_spec(methods="bcd")
         # every sweep value is bound when the spec is built
         with pytest.raises(ValueError, match="n_elements"):
             quick_spec(sweep=[8.0, -4.0])

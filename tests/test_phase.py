@@ -13,8 +13,8 @@ from irs_swipt.errors import InfeasibleSubproblemError
 from irs_swipt.linalg import MAX_DOUBLINGS, herm, unit_phase
 from irs_swipt.metrics import wmmse_objective
 from irs_swipt.phase import (MM_EPS, assemble_phase_qcqp, eh_slack,
-                             mm_prepare, phase_closed_form, phase_solve,
-                             price_bisection)
+                             mm_extrapolate, mm_prepare, phase_closed_form,
+                             phase_solve, price_bisection)
 from irs_swipt.precoder import sca_precoder_solve
 
 from helpers import (bench_config, count_calls, crandn, dense_form,
@@ -174,6 +174,23 @@ class TestMmPrepare:
         for name in ("q_hat", "objective", "reflected"):
             assert getattr(state, name) == pytest.approx(
                 getattr(ref, name), rel=1e-12), name
+
+    def test_extrapolated_state_matches_preparing_the_point(self):
+        # q, w and Y^H anchor are affine in the anchor, so combining two
+        # states gives the state at the combined (off-circle) point
+        rng = np.random.default_rng(61)
+        cfg = bench_config(m=37)
+        _, _, _, _, _, _, data = full_state(rng, cfg)
+        cur, prev = (mm_prepare(data, unit_phases(rng, 37)) for _ in range(2))
+        for beta in (0.0, 0.25, 0.9):
+            got = mm_extrapolate(cur, prev, beta, data)
+            want = mm_prepare(data, (1 + beta) * cur.anchor
+                              - beta * prev.anchor)
+            for name in ("anchor", "y_proj", "q", "w"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.all(np.abs(a - b) <= 1e-12 * np.max(np.abs(b))), name
+            assert got.q_hat == pytest.approx(want.q_hat, rel=1e-12)
+            assert np.isnan(got.objective) and np.isnan(got.reflected)
 
     def test_linearized_bound_matches_truth_at_anchor(self):
         rng = np.random.default_rng(6)
@@ -363,6 +380,43 @@ class TestPriceBisection:
             np.testing.assert_allclose(nxt.anchor, best, rtol=0, atol=1e-12)
         assert saturated >= 30
 
+    def test_map_from_an_off_circle_anchor_is_feasible_and_unit_modulus(self):
+        # The harvest form is convex, so its linearization at any anchor
+        # bounds it from below, and the map from an extrapolated anchor
+        # meets the true constraint.  In the saturated branch such an
+        # anchor is not a candidate, even where it scores higher.
+        sat = priced = anchor_scored_higher = 0
+        for seed in range(60):
+            rng = np.random.default_rng(9500 + seed)
+            data = make_phase_data(rng, 5)
+            cur, prev = (mm_prepare(data, unit_phases(rng, 5)) for _ in range(2))
+            y = mm_extrapolate(cur, prev, 0.9, data)
+            assert np.max(np.abs(np.abs(y.anchor) - 1.0)) > 1e-3
+            upsilon_form = float(np.real(np.vdot(y.y_proj, y.y_proj)))
+            j0 = eh_slack(0.0, y)
+            j_limit = 2.0 * float(np.sum(np.abs(y.w)))
+            saturate = seed % 2 == 0
+            q_hat = j_limit if saturate else j0 + 0.9 * (j_limit - j0)
+            data.q_resid = q_hat - upsilon_form
+            y = mm_extrapolate(cur, prev, 0.9, data)
+            nxt, p = price_bisection(y, data)
+            assert np.max(np.abs(np.abs(nxt.anchor) - 1.0)) < 1e-12
+            harvest = float(np.real(
+                np.vdot(nxt.anchor, dense_form(data.upsilon_factor)
+                        @ nxt.anchor) + 2.0 * np.vdot(nxt.anchor, data.g.conj())))
+            tol = 1e-9 * max(1.0, abs(data.q_resid))
+            assert harvest >= data.q_resid - tol
+            assert nxt.reflected >= data.q_resid - tol
+            if p == float(2 ** MAX_DOUBLINGS):
+                sat += 1
+                aligned = unit_phase(y.w)
+                np.testing.assert_array_equal(nxt.anchor, aligned)
+                anchor_scored_higher += (np.real(np.vdot(y.anchor, y.q))
+                                         > np.real(np.vdot(aligned, y.q)))
+            elif p > 0.0:
+                priced += 1
+        assert sat >= 12 and priced >= 8 and anchor_scored_higher >= 12
+
     def test_global_optimality_on_exhaustive_grid(self):
         # two-element subproblems solved by brute force over 720^2 phases
         for seed in range(6):
@@ -455,7 +509,7 @@ def first_phase_block(seed, m=40):
     return u, w, f, ch, phi, cfg
 
 
-class TestSquarem:
+class TestMomentum:
     @pytest.mark.parametrize("n_max", [1, 2, 3, 7])
     def test_every_map_counts_against_the_budget(self, monkeypatch, n_max):
         u, w, f, ch, phi, cfg = first_phase_block(1)
@@ -463,52 +517,69 @@ class TestSquarem:
         monkeypatch.setattr(phase_module, "MM_EPS", 0.0)
         monkeypatch.setattr(phase_module, "MM_MAX_ITER", n_max)
         _, traj = phase_solve(u, w, f, ch, phi, cfg)
-        assert len(traj) - 1 == len(maps)
-        assert len(traj) - 1 <= n_max
-        # no extrapolation happens before two maps: those are plain MM's
+        assert len(traj) - 1 <= len(maps) <= n_max
+        # no momentum before the third map: the first two are plain MM's
         _, plain = phase_solve_plain(u, w, f, ch, phi, cfg, eps=0.0, n_max=2)
         assert traj[:3] == plain[:len(traj)]
 
-    def test_rejected_extrapolation_keeps_the_plain_map(self, monkeypatch):
-        # Offer the minimizer of f without the harvest constraint as every
-        # extrapolated point, with the threshold set halfway between its
-        # harvest and the start's.  Where f is lower there than after two
-        # maps, only the harvest guard can turn it down, and then the
-        # accelerated loop must be the plain one map for map.
-        n_max, checked = 7, 0
+    @pytest.mark.parametrize("n_max, kept", [(6, 4), (7, 5)])
+    @pytest.mark.parametrize("reason", ["solver-error", "objective", "harvest"])
+    def test_rejected_momentum_map_restarts_with_the_plain_map(
+            self, monkeypatch, reason, n_max, kept):
+        # Replace every extrapolated state by one whose map is refused:
+        # the state at the unconstrained minimizer of f, which is below the
+        # harvest threshold, with an unreachable harvest bound (its priced
+        # solve raises) or with none (it maps to a point with f no higher
+        # than plain MM's but below the threshold); or the state at phi_0,
+        # which maps to phi_1, whose f is above f(phi_k) for k >= 2.  Each
+        # refusal is
+        # a restart that still spends a priced solve, so the loop is plain
+        # MM map for map: two plain maps, then a refused one, and so on.
+        checked = 0
         for seed in range(20):
             rng = np.random.default_rng(700 + seed)
             cfg = bench_config(m=8)
             ch, phi, f, u, w = wmmse_state(rng, cfg)
-            data = assemble_phase_qcqp(u, w, f, ch, cfg)
             free, _ = phase_solve_plain(u, w, f, ch, phi, cfg, eps=0.0,
                                         n_max=1000)
-            at_free, at_start = mm_prepare(data, free), mm_prepare(data, phi)
-            q_free = at_free.reflected + data.direct_harvest
-            q_start = at_start.reflected + data.direct_harvest
+            data = assemble_phase_qcqp(u, w, f, ch, cfg)
+            q_free = mm_prepare(data, free).reflected + data.direct_harvest
+            q_start = mm_prepare(data, phi).reflected + data.direct_harvest
             if q_free >= q_start:
                 continue
             cfg_q = bench_config(m=8, qbar=0.5 * (q_free + q_start))
+            data = assemble_phase_qcqp(u, w, f, ch, cfg_q)
+            at_free = mm_prepare(data, free)
+            bound = {"solver-error": np.inf, "harvest": -np.inf}.get(reason)
             _, plain = phase_solve_plain(u, w, f, ch, phi, cfg_q, eps=0.0,
                                          n_max=n_max)
-            if at_free.objective > plain[2].objective:
+            escape = price_bisection(replace(at_free, q_hat=-np.inf), data)[0]
+            if (not plain[1].objective > plain[2].objective
+                    or escape.objective > plain[-1].objective
+                    or escape.reflected >= data.q_resid):
                 continue
             offered = []
 
-            def bad_point(*anchors):
-                offered.append(anchors)
-                return free
+            def refused(cur, prev, beta, data):
+                offered.append(beta)
+                if reason == "objective":
+                    return mm_prepare(data, np.asarray(phi, dtype=complex))
+                return replace(at_free, q_hat=bound)
 
-            monkeypatch.setattr(phase_module, "_squarem_point", bad_point)
+            monkeypatch.setattr(phase_module, "mm_extrapolate", refused)
+            maps = count_calls(monkeypatch, phase_module, "price_bisection")
             monkeypatch.setattr(phase_module, "MM_EPS", 0.0)
             monkeypatch.setattr(phase_module, "MM_MAX_ITER", n_max)
             phi_out, traj = phase_solve(u, w, f, ch, phi, cfg_q)
             monkeypatch.undo()
-            assert len(offered) == 3
-            assert traj == plain
+            assert offered == [0.25, 0.25]
+            assert len(maps) == n_max
+            assert traj == plain[:kept + 1]
+            phi_plain, _ = phase_solve_plain(u, w, f, ch, phi, cfg_q, eps=0.0,
+                                             n_max=kept)
+            assert np.array_equal(phi_out, phi_plain)
             for it in traj:
                 assert it.harvest >= cfg_q.eh_threshold * (1.0 - 1e-6)
-            assert np.max(np.abs(np.abs(phi_out) - 1.0)) < 1e-12
             checked += 1
         assert checked >= 3
 

@@ -223,6 +223,16 @@ class TestGenerateScenario:
         with pytest.raises(ValueError, match="not finite"):
             generate_scenario(SystemConfig(), geom, seed=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("bs_position", "12"), ("bs_position", (0.0, 0.0, 0.0)),
+        ("irs_position", "52"), ("irs_position", [5.0]),
+        ("bs_position", 0.0)])
+    def test_position_is_a_list_of_two_numbers(self, name, value):
+        # a string was split into its digits; three numbers failed only
+        # inside the draw, with a broadcasting error
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            Geometry(**{name: value})
+
     def test_irs_follows_er_center_by_default(self):
         geom = Geometry(er_center=7.5)
         assert geom.irs_position == (7.5, 2.0)
@@ -246,6 +256,15 @@ class TestConfigValidation:
     def test_weight_lengths(self):
         with pytest.raises(ValueError):
             SystemConfig(n_irs=2, rate_weights=(1.0,))
+
+    @pytest.mark.parametrize("fields", [{"rate_weights": "12"},
+                                        {"eh_weights": "1111"},
+                                        {"rate_weights": 1.0}])
+    def test_weights_are_a_list(self, fields):
+        # a string was split into its digits, "12" into (1.0, 2.0)
+        name, = fields
+        with pytest.raises(ValueError, match=f"^{name} must be a list"):
+            SystemConfig(**fields)
 
     def test_list_weights_equal_tuple_weights(self):
         n_ers = SystemConfig().n_ers
