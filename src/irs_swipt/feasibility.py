@@ -7,23 +7,27 @@ SCA ascent step aligns the phases with the harvest gradient, read from the
 ER composites the precoder step was built on, so no M x M form is
 assembled.  Both steps can only increase Q.  A map is a phase step and the
 precoder step at the new phases, building only gbar and G; FEAS_MAX_ITER
-counts maps.  The maps run through the SQUAREM cycle (linalg._squarem; the
-phase block uses restarted momentum instead): after two maps, the
-unit-modulus extrapolation of their phases (one more G build and precoder
-step) is kept if its Q is no lower than the second map's, and mapped once
-more.  The alternation stops as soon as a map's Q clears the
-threshold (the problem is then feasible and the point initializes the BCD
-solver), changes by at most STALL_RTOL relative, or the maps run out.  No
-extrapolation comes before two maps, so a check decided within two steps
-is the plain alternation's.  The returned F is rank-one; bcd_solve spreads
-it over the streams itself, so any feasible (F, phi) is a start.
+counts maps.  The maps run through the phase block's restarted momentum
+(linalg._momentum): from the third map after the start or after a
+restart, the phase step is taken from the current F and from the ER
+composites at y_k = phi_k + beta_k (phi_k - phi_{k-1}), which are affine
+in phi and so are (1 + beta_k) gbar_k - beta_k gbar_{k-1}, with no new
+build.  That map is kept if its Q is no lower than Q_k; otherwise the loop
+restarts with the plain map, and both count against FEAS_MAX_ITER.  The
+alternation stops as soon as a kept map's Q clears the threshold (the
+problem is then feasible and the point initializes the BCD solver),
+changes by at most STALL_RTOL relative from the map before, or the maps
+run out.  No extrapolation comes before two maps, so a check decided
+within two steps is the plain alternation's.  The returned F is rank-one;
+bcd_solve spreads it over the streams itself, so any feasible (F, phi) is
+a start.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _squarem, _squarem_point, frob_sq, unit_phase
+from .linalg import _momentum, frob_sq, unit_phase
 from .metrics import harvest_channels, harvested_power_quadratic
 from .scenario import ChannelSet, SystemConfig
 
@@ -116,30 +120,28 @@ def feasibility_check(channels: ChannelSet, config: SystemConfig) -> tuple:
     qbar = config.eh_threshold
     scale = config.eh_efficiency * np.asarray(config.eh_weights)
     g_r_conj = channels.g_r.conj()
-    steps = 0
 
     def at(phi: np.ndarray) -> tuple:
         """(F, Q, phi, gbar) with F the energy beamformer at phi."""
         gbar, g = harvest_channels(channels, phi[:, None] * channels.z, scale)
         return (*max_eh_precoder(g, config), phi, gbar)
 
-    def mapped(x: tuple) -> tuple[tuple, bool]:
-        nonlocal best, steps
-        steps += 1
-        f, q, phi, _ = nxt = at(max_eh_phase_step(x[0], x[3], channels.z,
-                                                  g_r_conj, scale))
-        if q > best[3]:
-            best = (q >= qbar, f, phi, q)
-        return nxt, (q >= qbar or steps >= FEAS_MAX_ITER
-                     or abs(q - x[1]) <= STALL_RTOL * max(q, 1e-300))
+    def step(f: np.ndarray, gbar: np.ndarray) -> tuple:
+        """One map: the phase step from F and the ER composites gbar."""
+        return at(max_eh_phase_step(f, gbar, channels.z, g_r_conj, scale))
 
-    def offer(x0: tuple, x1: tuple, x2: tuple) -> tuple | None:
-        phi = _squarem_point(x0[2], x1[2], x2[2])
-        jump = None if phi is None else at(phi)
-        return jump if jump is not None and jump[1] >= x2[1] else None
+    def extrapolated(x: tuple, prev: tuple, beta: float) -> tuple | None:
+        nxt = step(x[0], (1.0 + beta) * x[3] - beta * prev[3])
+        return nxt if nxt[1] >= x[1] else None
 
     f, q, phi, _ = start = at(np.ones(config.n_elements, dtype=complex))
     best = (q >= qbar, f, phi, q)
-    _squarem(mapped, offer, start,
-             q >= qbar or config.n_elements == 0 or FEAS_MAX_ITER < 1)
+    if q >= qbar or config.n_elements == 0:
+        return best
+    for prev, (f, q, phi, _) in _momentum(lambda x: step(x[0], x[3]),
+                                          extrapolated, start, FEAS_MAX_ITER):
+        if q > best[3]:
+            best = (q >= qbar, f, phi, q)
+        if q >= qbar or abs(q - prev[1]) <= STALL_RTOL * max(q, 1e-300):
+            break
     return best

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -203,19 +204,21 @@ def _run_cells(args):
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[TrialResult]:
     """Run the full grid; partial failures never abort the sweep.
 
-    With threads > 1 the cells go to that many worker processes in
-    consecutive chunks, about CHUNKS_PER_WORKER per worker: the spec is
-    pickled once per chunk, and the last chunk to finish leaves the other
-    workers idle for only a small share of the run.  Every cell's result
-    depends only on its own seed, so it is the same at any worker count.
-    Results come back ordered by (sweep index, trial, method) regardless of
-    worker scheduling.
+    threads must be an integer >= 1.  With threads > 1 the cells go to that
+    many worker processes, at most os.cpu_count(), in consecutive chunks,
+    about CHUNKS_PER_WORKER per worker: the spec is pickled once per chunk,
+    and the last chunk to finish leaves the other workers idle for only a
+    small share of the run.  Every cell's result depends only on its own
+    seed, so it is the same at any worker count.  Results come back ordered
+    by (sweep index, trial, method) regardless of worker scheduling.
     """
+    _check_int("threads", threads, 1)
+    threads = min(threads, os.cpu_count() or 1)
     cells = [(si, ti, method)
              for si in range(len(spec.sweep))
              for ti in range(spec.trials)
              for method in spec.methods]
-    if threads <= 1:
+    if threads == 1:
         results = [run_trial(spec, *cell) for cell in cells]
     else:
         size = -(-len(cells) // (threads * CHUNKS_PER_WORKER))

@@ -4,6 +4,9 @@ All rate/MSE computations go through Hermitian solves or Cholesky factors;
 explicit inverses are avoided except for the tiny d-by-d weight matrices.
 herm, hermitianize and the checked factorizations act on the last two axes,
 so a (..., n, n) stack (one matrix per user) is factored in one call.
+Both multiplier searches share one bracketed root search, and both
+fixed-point loops, the phase MM and the feasibility alternation, share one
+accelerator, the restarted momentum driver _momentum.
 """
 
 import numpy as np
@@ -102,34 +105,27 @@ def _bracketed_root(excess, at_zero: float, slack_tol: float = np.inf) -> float:
     return hi
 
 
-def _squarem_point(phi0: np.ndarray, phi1: np.ndarray,
-                   phi2: np.ndarray) -> np.ndarray | None:
-    """Unit-modulus projection of the SQUAREM point phi0 - 2 alpha r +
-    alpha^2 v, alpha = min(-|r|/|v|, -1); None when alpha = -1, whose point
-    is phi2 itself, or when v = 0."""
-    r = phi1 - phi0
-    v = phi2 - phi1 - r
-    r_sq, v_sq = frob_sq(r), frob_sq(v)
-    if not r_sq > v_sq > 0.0:
-        return None
-    alpha = -np.sqrt(r_sq / v_sq)
-    return unit_phase(phi0 - 2.0 * alpha * r + alpha ** 2 * v)
-
-
-def _squarem(mapped, offer, x, done: bool = False):
-    """SQUAREM (Varadhan & Roland 2008), the feasibility alternation's
-    accelerator: map x with mapped(x) = (T(x), done), which counts the map
-    and applies the caller's stop test, until done (at once if given).
-    Each cycle maps x0 to x1 and x2; offer(x0, x1, x2) is the caller's
-    extrapolated point if it keeps one, else None, and a kept point is
-    mapped once more.  Returns the last map's output."""
-    while not done:
-        x0 = x
-        x1, done = mapped(x0)
-        if done:
-            return x1
-        x, done = mapped(x1)
-        jump = None if done else offer(x0, x1, x)
-        if jump is not None:
-            x, done = mapped(jump)
-    return x
+def _momentum(mapped, extrapolated, x, budget: int):
+    """Restarted Nesterov momentum (O'Donoghue & Candes 2015) over the map
+    mapped(x), for both fixed-point loops.  Yields (prev, x) after each
+    kept map; the caller stops by leaving the loop.  From the third map
+    after the start or after a restart, extrapolated(x, prev, beta), beta_k
+    = (k-1)/(k+2), is the caller's map from y = x + beta (x - prev) if it
+    keeps it, else None, which restarts (k = 0) with mapped(x).  Every call
+    of either counts against the budget, and a refusal on its last call
+    ends the run."""
+    prev, k, calls = x, 0, 0    # k: maps since the start or a restart
+    while calls < budget:
+        nxt = None
+        if k >= 2:
+            calls += 1
+            nxt = extrapolated(x, prev, (k - 1) / (k + 2))
+            if nxt is None:
+                k = 0
+                if calls == budget:
+                    return
+        if nxt is None:
+            calls += 1
+            nxt = mapped(x)
+        prev, x, k = x, nxt, k + 1
+        yield prev, x

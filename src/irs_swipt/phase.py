@@ -34,8 +34,8 @@ chosen so the constraint slackness J(p) = 2 Re{phi(p)^H w} hits q_hat;
 J is non-decreasing in p, so the shared bracketed root search applies.
 
 One MM map T(phi), price_bisection, is that priced solve at the anchor
-phi, prepared as the next anchor.  phase_solve runs T with restarted
-Nesterov momentum (O'Donoghue & Candes 2015): from the third map after the
+phi, prepared as the next anchor.  phase_solve runs T through the shared
+restarted-momentum driver (linalg._momentum): from the third map after the
 start or after a restart it maps from y_k = phi_k + beta_k (phi_k -
 phi_{k-1}), beta_k = (k-1)/(k+2), which is not projected onto the unit
 circle.  q, w and the projection Y^H phi are affine in the anchor, so the
@@ -59,7 +59,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleSubproblemError, SolverError
-from .linalg import MAX_DOUBLINGS, _bracketed_root, frob_sq, herm, unit_phase
+from .linalg import (MAX_DOUBLINGS, _bracketed_root, _momentum, frob_sq, herm,
+                     unit_phase)
 from .scenario import ChannelSet, SystemConfig
 
 
@@ -261,25 +262,15 @@ def phase_solve(u: np.ndarray, w: np.ndarray, f: np.ndarray,
     at most MM_EPS relative over one kept map.
     """
     data = assemble_phase_qcqp(u, w, f, channels, config)
-    state = prev = mm_prepare(data, np.asarray(phi_init, dtype=complex))
+    state = mm_prepare(data, np.asarray(phi_init, dtype=complex))
     trajectory = [PhaseIterate(state.objective,
                                state.reflected + data.direct_harvest)]
-    k = maps = 0        # k: maps since the start or the last restart
-    while maps < MM_MAX_ITER:
-        nxt = None
-        if k >= 2:
-            maps += 1
-            nxt = _momentum_map(state, prev, (k - 1) / (k + 2), data)
-            if nxt is None:
-                k = 0
-                if maps == MM_MAX_ITER:
-                    break
-        if nxt is None:
-            maps += 1
-            nxt = price_bisection(state, data)[0]
-        trajectory.append(PhaseIterate(nxt.objective,
-                                       nxt.reflected + data.direct_harvest))
-        prev, state, k = state, nxt, k + 1
+    for prev, state in _momentum(
+            lambda x: price_bisection(x, data)[0],
+            lambda x, prev, beta: _momentum_map(x, prev, beta, data),
+            state, MM_MAX_ITER):
+        trajectory.append(PhaseIterate(state.objective,
+                                       state.reflected + data.direct_harvest))
         if (abs(state.objective - prev.objective)
                 <= MM_EPS * max(abs(state.objective), 1e-30)):
             break

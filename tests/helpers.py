@@ -6,13 +6,14 @@ matrices, eigen/SVD decompositions, exhaustive grids, projected gradient)
 so that agreement with the production implementations is meaningful.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from irs_swipt import SystemConfig, effective_channels
 from irs_swipt.bcd import mmse_refresh
-from irs_swipt.linalg import (_squarem, _squarem_point, herm,
-                              hermitian_solve, hermitianize,
-                              inverse_logdet_pd, unit_phase)
+from irs_swipt.linalg import (_momentum, herm, hermitian_solve,
+                              hermitianize, inverse_logdet_pd, unit_phase)
 from irs_swipt.metrics import EffectiveChannels
 from irs_swipt.phase import (MmState, PhaseIterate, PhaseQcqpData,
                              assemble_phase_qcqp, mm_prepare, price_bisection)
@@ -546,39 +547,45 @@ def eh_steps_loop(channels, config):
 
 
 def feasibility_check_loop(channels, config, max_iter=200, stall_rtol=1e-8):
-    """The SQUAREM-accelerated feasibility alternation through the shared
+    """The momentum-accelerated feasibility alternation through the shared
     driver, with a full effective-channel build (effective_channels_loop)
-    per step; returns (feasible, F, phi, Q).  The reference that
+    per step and the ER composites at an extrapolated point combined from
+    the last two builds; returns (feasible, F, phi, Q).  The reference that
     feasibility_check must equal to the bit."""
     max_eh_precoder, max_eh_phase_step = eh_steps_loop(channels, config)
     qbar = config.eh_threshold
-    steps = 0
 
     def at(phi):
         eff = effective_channels_loop(channels, phi, config)
         return (*max_eh_precoder(eff), phi, eff)
 
     def mapped(x):
-        nonlocal best, steps
-        steps += 1
-        f, q, phi, _ = nxt = at(max_eh_phase_step(x[0], x[3]))
-        if q > best[3]:
-            best = (q >= qbar, f, phi, q)
-        return nxt, (q >= qbar or steps >= max_iter
-                     or abs(q - x[1]) <= stall_rtol * max(q, 1e-300))
+        return at(max_eh_phase_step(x[0], x[3]))
 
-    def offer(x0, x1, x2):
-        phi_x = _squarem_point(x0[2], x1[2], x2[2])
-        if phi_x is None:
-            return None
-        jump = at(phi_x)
-        return jump if jump[1] >= x2[1] else None
+    def extrapolated(x, prev, beta):
+        gbar = (1.0 + beta) * x[3].gbar - beta * prev[3].gbar
+        nxt = at(max_eh_phase_step(x[0], replace(x[3], gbar=gbar)))
+        return nxt if nxt[1] >= x[1] else None
 
     f, q, phi, _ = start = at(np.ones(config.n_elements, dtype=complex))
     best = (q >= qbar, f, phi, q)
-    _squarem(mapped, offer, start,
-             q >= qbar or config.n_elements == 0 or max_iter < 1)
+    if q >= qbar or config.n_elements == 0:
+        return best
+    for prev, (f, q, phi, _) in _momentum(mapped, extrapolated, start,
+                                          max_iter):
+        if q > best[3]:
+            best = (q >= qbar, f, phi, q)
+        if q >= qbar or abs(q - prev[1]) <= stall_rtol * max(q, 1e-300):
+            break
     return best
+
+
+def plain_driver(mapped, extrapolated, x, budget):
+    """linalg._momentum with no extrapolation: one mapped(x) per budget
+    step, each yielded as (prev, x)."""
+    for _ in range(budget):
+        prev, x = x, mapped(x)
+        yield prev, x
 
 
 def feasibility_check_plain(channels, config, max_iter=200, stall_rtol=1e-8):

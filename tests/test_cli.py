@@ -89,6 +89,12 @@ class TestRunCommand:
         assert main(["run", spec]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_thread_count_below_one_fails(self, tmp_path, capsys, threads):
+        spec = write(tmp_path, "spec.json", spec_doc())
+        assert main(["run", spec, "--threads", threads]) == 2
+        assert "threads must be an integer >= 1" in capsys.readouterr().err
+
     def test_missing_file_fails(self, capsys):
         assert main(["run", "/nonexistent/spec.json"]) == 2
 

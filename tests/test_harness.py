@@ -284,6 +284,39 @@ class TestRunExperiment:
         assert len(par) == cells
         assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
 
+    @pytest.mark.parametrize("threads", [0, -1, 1.5, True])
+    def test_rejects_a_thread_count_not_an_integer_from_one(self, threads):
+        with pytest.raises(ValueError, match="threads must be an integer"):
+            run_experiment(quick_spec(methods=("no-irs",)), threads=threads)
+
+    @pytest.mark.parametrize("cpus,workers", [(2, [2]), (1, []), (None, [])])
+    def test_starts_at_most_one_worker_per_cpu(self, monkeypatch, cpus,
+                                              workers):
+        # a stand-in pool records its size and maps in this process, so a
+        # huge thread count starts no process
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        spec = quick_spec(trials=2, methods=("no-irs",), sweep=[6.0, 10.0])
+        seq = run_experiment(spec, threads=1)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        par = run_experiment(spec, threads=10 ** 6)
+        assert started == workers
+        assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
+
     def test_harvest_grows_with_elements(self):
         geom = quick_geometry()
         means = []

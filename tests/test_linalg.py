@@ -4,7 +4,7 @@ import pytest
 from irs_swipt import effective_channels, harvested_power_quadratic
 from irs_swipt.errors import BracketError, ConditioningError
 from irs_swipt.linalg import (MAX_CONDITION, MAX_DOUBLINGS, ROOT_EPS,
-                              _bracketed_root, _squarem, herm,
+                              _bracketed_root, _momentum, herm,
                               hermitian_solve, inverse_logdet_pd)
 from irs_swipt.phase import eh_slack, mm_prepare
 from irs_swipt.precoder import (_probe, build_quadratic, power_of_lambda,
@@ -76,54 +76,87 @@ class TestBracketedRoot:
             assert x >= root and x - root <= ROOT_EPS * max(1.0, root)
 
 
-class TestSquaremDriver:
-    """_squarem on the contraction x -> A x + b with A = diag(0.99, 0.5),
-    whose slow mode makes plain iteration crawl; the offer is the
-    unprojected SQUAREM point, always accepted."""
+class TestMomentumDriver:
+    """_momentum on the contraction x -> A x + b with A = diag(0.99, 0.5),
+    whose slow mode makes plain iteration crawl.  The extrapolated map is
+    kept when it lowers the distance to the fixed point (a function-value
+    restart), or by a fixed schedule; calls records each call in order,
+    "m" for mapped and the beta for extrapolated."""
 
     A, B = np.array([0.99, 0.5]), np.array([1.0, -2.0])
     FIXED = B / (1.0 - A)
 
-    def run(self, budget, tol=1e-10, accelerate=True):
-        """(returned point, inputs of the maps taken, maps before each
-        offer)."""
-        inputs, offers = [], []
+    def run(self, budget, keep=None, tol=1e-10):
+        """(kept points, prevs yielded with them, calls); keep(x, nxt)
+        decides an extrapolated map, by default on the distance to the
+        fixed point."""
+        if keep is None:
+            def keep(x, nxt):
+                return (np.linalg.norm(nxt - self.FIXED)
+                        <= np.linalg.norm(x - self.FIXED))
+        calls = []
 
         def mapped(x):
-            inputs.append(x)
-            nxt = self.A * x + self.B
-            return nxt, (len(inputs) >= budget
-                         or np.max(np.abs(nxt - self.FIXED)) <= tol)
+            calls.append("m")
+            return self.A * x + self.B
 
-        def offer(x0, x1, x2):
-            offers.append(len(inputs))
-            if not accelerate:
-                return None
-            r, v = x1 - x0, x2 - 2.0 * x1 + x0
-            alpha = min(-np.sqrt(r @ r / (v @ v)), -1.0)
-            return x0 - 2.0 * alpha * r + alpha ** 2 * v
+        def extrapolated(x, prev, beta):
+            calls.append(beta)
+            nxt = self.A * (x + beta * (x - prev)) + self.B
+            return nxt if keep(x, nxt) else None
 
-        return _squarem(mapped, offer, np.zeros(2)), inputs, offers
+        points, prevs = [], []
+        for prev, x in _momentum(mapped, extrapolated, np.zeros(2), budget):
+            prevs.append(prev)
+            points.append(x)
+            if np.max(np.abs(x - self.FIXED)) <= tol:
+                break
+        return points, prevs, calls
 
-    def test_reaches_the_fixed_point_in_fewer_maps(self):
-        fast, fast_maps, _ = self.run(10_000)
-        plain, plain_maps, _ = self.run(10_000, accelerate=False)
-        for x in (fast, plain):
-            assert np.max(np.abs(x - self.FIXED)) <= 1e-10
-        assert len(fast_maps) < len(plain_maps) / 10
+    def test_reaches_the_fixed_point_in_fewer_calls(self):
+        points, _, calls = self.run(10_000)
+        assert np.max(np.abs(points[-1] - self.FIXED)) <= 1e-10
+        plain, x = 0, np.zeros(2)
+        while np.max(np.abs(x - self.FIXED)) > 1e-10:
+            plain, x = plain + 1, self.A * x + self.B
+        assert len(calls) < plain / 10
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 8])
-    def test_every_map_counts_against_the_budget(self, budget):
-        x, inputs, offers = self.run(budget, tol=0.0)
-        assert len(inputs) == budget
-        # an offer follows the second map of each cycle, and the point
-        # returned is the last map's output, never an unmapped offer
-        assert offers == list(range(2, budget, 3))
-        np.testing.assert_array_equal(x, self.A * inputs[-1] + self.B)
+    def test_refused_calls_count_against_the_budget(self, budget):
+        points, prevs, calls = self.run(budget, keep=lambda x, nxt: False,
+                                        tol=0.0)
+        assert len(calls) == budget
+        # each refusal restarts: two plain maps before the next offer
+        assert calls == (["m", "m", 0.25] * budget)[:budget]
+        assert len(points) == calls.count("m")
+        # prev is the last kept point, so every kept point is its map
+        np.testing.assert_array_equal(prevs[0], np.zeros(2))
+        for prev, x in zip(prevs, points):
+            np.testing.assert_array_equal(x, self.A * prev + self.B)
 
-    def test_done_at_the_start_takes_no_map(self):
-        x0 = np.ones(2)
-        assert _squarem(None, None, x0, done=True) is x0
+    def test_no_extrapolation_before_the_third_call(self):
+        # a kept run extrapolates from the third call on with beta_k =
+        # (k-1)/(k+2); after a restart (the fourth call refused) the count
+        # starts over
+        points, _, calls = self.run(8, tol=0.0, keep=lambda x, nxt: True)
+        assert calls == ["m", "m", 1 / 4, 2 / 5, 3 / 6, 4 / 7, 5 / 8, 6 / 9]
+        assert len(points) == 8
+        verdicts = iter([True, False, True, True, True])
+        _, _, calls = self.run(9, tol=0.0,
+                               keep=lambda x, nxt: next(verdicts))
+        assert calls == ["m", "m", 1 / 4, 2 / 5, "m", "m", 1 / 4, 2 / 5,
+                         3 / 6]
+
+    @pytest.mark.parametrize("budget", [3, 6])
+    def test_refusal_on_the_last_call_ends_the_run(self, budget):
+        points, _, calls = self.run(budget, keep=lambda x, nxt: False,
+                                    tol=0.0)
+        assert calls[-1] == 0.25 and len(calls) == budget
+        assert len(points) == budget - budget // 3
+
+    def test_budget_zero_yields_nothing(self):
+        points, _, calls = self.run(0)
+        assert points == [] and calls == []
 
 
 class TestInverseLogdet:
