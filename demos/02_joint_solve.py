@@ -7,7 +7,6 @@ import numpy as np
 from irs_swipt import (Geometry, SystemConfig, bcd_solve, effective_channels,
                        feasibility_check, generate_scenario,
                        harvested_power_quadratic)
-from irs_swipt.bcd import BCD_EPS
 from irs_swipt.linalg import frob_sq
 
 config = SystemConfig(n_elements=40)
@@ -22,13 +21,8 @@ if not feasible:
 
 # bcd_solve spreads the rank-one start over the data streams itself
 report = bcd_solve(channels, config, (f0, phi0))
-
-# bcd_solve's stop rule: the last sweep moved the WSR by under BCD_EPS
-last, prev = report.sweeps[-1].wsr_bits, report.sweeps[-2].wsr_bits
-stop = ("converged" if abs(last - prev) < BCD_EPS * max(abs(last), 1e-30)
-        else "stopped at the sweep cap")
-print(f"\n{stop} after {report.iterations_used} sweeps, "
-      f"{report.wall_time_s:.2f} s")
+print(f"\nstopped ({report.stop_reason}) after {report.iterations_used} "
+      f"sweeps, {report.wall_time_s:.2f} s")
 print("sweep   WSR (bit/s/Hz)   power (W)   harvest (W)")
 for it, sweep in enumerate(report.sweeps):
     print(f"{it:5d}   {sweep.wsr_bits:14.4f}   {sweep.power:9.4f}   "

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import SolverError
 from .feasibility import spread_streams
-from .linalg import frob_sq, herm, hermitian_solve, inverse_logdet_pd
+from .linalg import _settled, frob_sq, herm, hermitian_solve, inverse_logdet_pd
 from .metrics import (LN2, EffectiveChannels, effective_channels,
                       harvested_power_quadratic)
 from .phase import phase_solve
@@ -55,11 +55,12 @@ class Sweep:
 
 @dataclass
 class SolveReport:
-    """Outcome of one BCD run: its sweeps (none if infeasible), final point."""
+    """One BCD run: its sweeps (none if infeasible), end point, stop reason."""
 
     sweeps: list[Sweep]
     f: np.ndarray                               # final precoders
     phi: np.ndarray                             # final phases
+    stop_reason: str            # "converged", "sweep cap" or "infeasible"
     wall_time_s: float = 0.0
 
     @property
@@ -89,6 +90,7 @@ class SolveReport:
             "phases_imag": np.imag(self.phi).tolist(),
             "feasible": self.feasible,
             "iterations_used": self.iterations_used,
+            "stop_reason": self.stop_reason,
             "precoder_inner_iters": [s.precoder_iters for s in done],
             "phase_inner_iters": [s.phase_iters for s in done],
             "power_trajectory": [s.power for s in self.sweeps],
@@ -172,8 +174,8 @@ def bcd_solve(channels: ChannelSet, config: SystemConfig,
 
     No block moves a precoder column off zero, so the checked start's zero
     stream columns are filled first (spread_streams).  bcd_sweep then runs
-    until the relative WSR change is under eps or n_max sweeps are done;
-    MAX_CONSECUTIVE_FAILURES failed sweeps in a row abort the run.
+    until the relative WSR change is under eps ("converged") or n_max sweeps
+    are done ("sweep cap"); MAX_CONSECUTIVE_FAILURES failures in a row abort.
     """
     t0 = time.perf_counter()
     f, phi = (np.asarray(x, dtype=complex) for x in init)
@@ -181,7 +183,7 @@ def bcd_solve(channels: ChannelSet, config: SystemConfig,
     _check_init(f, phi, eff, config)
     sweeps = [_refreshed(spread_streams(f, eff.g, config), phi, eff, config)]
 
-    failures = 0
+    failures, stop_reason = 0, "sweep cap"
     for n in range(1, n_max + 1):
         sweep = bcd_sweep(sweeps[-1], channels, config)
         for block, message in sweep.errors:
@@ -191,9 +193,9 @@ def bcd_solve(channels: ChannelSet, config: SystemConfig,
             raise SolverError(f"{failures} consecutive failed BCD sweeps; "
                               f"last WSR {sweeps[-1].wsr_bits:.6f} bit/s/Hz")
         sweeps.append(sweep)
-        rate = sweep.wsr_bits
-        if abs(rate - sweeps[-2].wsr_bits) < eps * max(abs(rate), 1e-30):
+        if _settled(sweep.wsr_bits, sweeps[-2].wsr_bits, eps):
+            stop_reason = "converged"
             break
 
-    return SolveReport(sweeps, sweeps[-1].f, sweeps[-1].phi,
+    return SolveReport(sweeps, sweeps[-1].f, sweeps[-1].phi, stop_reason,
                        time.perf_counter() - t0)

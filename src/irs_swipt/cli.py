@@ -5,8 +5,9 @@
     irs-swipt solve <file>                full joint solve of one scenario
 
 Scenario files carry {"config": {...}, "geometry": {...}, "seed": n}; spec
-files mirror the ExperimentSpec fields.  Exit status is 0 on success and 2
-on a malformed spec or scenario.
+files mirror the ExperimentSpec fields.  Exit status is 0 on success, 1
+when a solve fails numerically (SolverError), and 2 on a malformed spec or
+scenario.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import dataclasses
 import json
 import sys
 
+from .errors import SolverError
 from .feasibility import feasibility_check
 from .harness import (emit_results, load_experiment_spec, run_experiment,
                       solve_with_init, summarize)
@@ -72,7 +74,7 @@ def _evaluate(command: str, channels, config) -> tuple[dict, str]:
         report = solve_with_init(channels, config)
         return report.to_dict(), (
             f"feasible={report.feasible} iterations={report.iterations_used} "
-            f"wsr={report.wsr_bits:.4f} bit/s/Hz")
+            f"wsr={report.wsr_bits:.4f} bit/s/Hz ({report.stop_reason})")
     feasible, _, _, q = feasibility_check(channels, config)
     qbar = config.eh_threshold
     return ({"feasible": bool(feasible), "q_achieved_watts": q,
@@ -102,9 +104,9 @@ def main(argv: list[str] | None = None) -> int:
     handler = _cmd_run if args.command == "run" else _cmd_scenario
     try:
         return handler(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, SolverError) else 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ build.  That map is kept if its Q is no lower than Q_k; otherwise the loop
 restarts with the plain map, and both count against FEAS_MAX_ITER.  The
 alternation stops as soon as a kept map's Q clears the threshold (the
 problem is then feasible and the point initializes the BCD solver),
-changes by at most STALL_RTOL relative from the map before, or the maps
+changes by less than STALL_RTOL relative from the map before, or the maps
 run out.  No extrapolation comes before two maps, so a check decided
 within two steps is the plain alternation's.  The returned F is rank-one;
 bcd_solve spreads it over the streams itself, so any feasible (F, phi) is
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _momentum, frob_sq, unit_phase
+from .linalg import _momentum, _settled, frob_sq, unit_phase
 from .metrics import harvest_channels, harvested_power_quadratic
 from .scenario import ChannelSet, SystemConfig
 
@@ -142,6 +142,6 @@ def feasibility_check(channels: ChannelSet, config: SystemConfig) -> tuple:
                                           extrapolated, start, FEAS_MAX_ITER):
         if q > best[3]:
             best = (q >= qbar, f, phi, q)
-        if q >= qbar or abs(q - prev[1]) <= STALL_RTOL * max(q, 1e-300):
+        if q >= qbar or _settled(q, prev[1], STALL_RTOL):
             break
     return best

@@ -152,7 +152,7 @@ def solve_with_init(channels: ChannelSet, config: SystemConfig,
     t0 = time.perf_counter()
     feasible, f0, phi0, _ = feasibility_check(channels, config)
     report = (bcd_solve(channels, config, (f0, phi0), n_max=n_max)
-              if feasible else SolveReport(sweeps=[], f=f0, phi=phi0))
+              if feasible else SolveReport([], f0, phi0, "infeasible"))
     report.wall_time_s = time.perf_counter() - t0
     return report
 

@@ -6,7 +6,8 @@ herm, hermitianize and the checked factorizations act on the last two axes,
 so a (..., n, n) stack (one matrix per user) is factored in one call.
 Both multiplier searches share one bracketed root search, and both
 fixed-point loops, the phase MM and the feasibility alternation, share one
-accelerator, the restarted momentum driver _momentum.
+accelerator, the restarted momentum driver _momentum; every solver loop
+stops on one relative-change rule, _settled.
 """
 
 import numpy as np
@@ -70,6 +71,12 @@ def frob_sq(a: np.ndarray) -> float:
 def unit_phase(z: np.ndarray) -> np.ndarray:
     """exp(j arg(z)) entrywise, with arg(0) := 0 so zero entries map to 1."""
     return np.exp(1j * np.arctan2(z.imag, z.real))
+
+
+def _settled(new: float, old: float, rtol: float) -> bool:
+    """The shared stop rule: new moved from old by less than rtol relative
+    to |new| (floored at 1e-30).  With rtol = 0 it never fires."""
+    return abs(new - old) < rtol * max(abs(new), 1e-30)
 
 
 def _bracketed_root(excess, at_zero: float, slack_tol: float = np.inf) -> float:

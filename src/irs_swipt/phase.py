@@ -59,8 +59,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleSubproblemError, SolverError
-from .linalg import (MAX_DOUBLINGS, _bracketed_root, _momentum, frob_sq, herm,
-                     unit_phase)
+from .linalg import (MAX_DOUBLINGS, _bracketed_root, _momentum, _settled,
+                     frob_sq, herm, unit_phase)
 from .scenario import ChannelSet, SystemConfig
 
 
@@ -259,7 +259,7 @@ def phase_solve(u: np.ndarray, w: np.ndarray, f: np.ndarray,
     constraint with f (bcd_solve checks every sweep); every iterate then
     remains feasible and f(phi) is non-increasing.  The trajectory holds
     phi_init and one entry per kept map; the loop stops when f changes by
-    at most MM_EPS relative over one kept map.
+    less than MM_EPS relative over one kept map.
     """
     data = assemble_phase_qcqp(u, w, f, channels, config)
     state = mm_prepare(data, np.asarray(phi_init, dtype=complex))
@@ -271,8 +271,7 @@ def phase_solve(u: np.ndarray, w: np.ndarray, f: np.ndarray,
             state, MM_MAX_ITER):
         trajectory.append(PhaseIterate(state.objective,
                                        state.reflected + data.direct_harvest))
-        if (abs(state.objective - prev.objective)
-                <= MM_EPS * max(abs(state.objective), 1e-30)):
+        if _settled(state.objective, prev.objective, MM_EPS):
             break
     return state.anchor, trajectory
 

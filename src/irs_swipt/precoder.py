@@ -32,7 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleDirectionError
-from .linalg import ROOT_EPS, _bracketed_root, frob_sq, herm, hermitianize
+from .linalg import (ROOT_EPS, _bracketed_root, _settled, frob_sq, herm,
+                     hermitianize)
 from .metrics import EffectiveChannels, harvested_power_quadratic
 from .scenario import SystemConfig
 
@@ -202,6 +203,6 @@ def sca_precoder_solve(u: np.ndarray, w: np.ndarray, eff: EffectiveChannels,
         z = sca_objective(f, data)
         trajectory.append(PrecoderIterate(
             z, frob_sq(f), harvested_power_quadratic(f, eff.g)))
-        if abs(z - trajectory[-2].objective) < SCA_EPS * max(abs(z), 1e-30):
+        if _settled(z, trajectory[-2].objective, SCA_EPS):
             break
     return f, trajectory

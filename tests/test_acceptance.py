@@ -194,6 +194,22 @@ def test_criterion_05_bcd_monotone_convergence(bcd_runs):
         f"monotonicity and the median-iteration clause hold")
 
 
+def test_criterion_05_stop_reason_names_the_stalled_instances(bcd_runs):
+    """stop_reason is "sweep cap" on exactly the instances C5 counts as
+    stalled (50 sweeps, last relative change >= 1e-4), "converged" on the
+    rest."""
+    capped = []
+    for idx, (cfg, ch, rep) in enumerate(bcd_runs):
+        rates = [r for _, r in rep.wsr_trajectory]
+        last_delta = abs(rates[-1] - rates[-2]) / max(abs(rates[-1]), 1e-30)
+        stalled = rep.iterations_used == 50 and last_delta >= 1e-4
+        assert rep.stop_reason == ("sweep cap" if stalled else "converged")
+        if stalled:
+            capped.append(idx)
+    report(f"[C5 stop reason] sweep cap on instances {capped}, "
+           f"converged on the other {50 - len(capped)}")
+
+
 def test_criterion_06_constraint_invariance(bcd_runs):
     """Power <= P_T (1 + 1e-6) and Q >= Qbar (1 - 1e-6) at every sweep."""
     for cfg, ch, rep in bcd_runs:

@@ -277,6 +277,7 @@ class TestBcdSolve:
             np.testing.assert_array_equal(out.phi, ref.phi)
             assert ([figures(s) for s in out.sweeps]
                     == [figures(s) for s in ref.sweeps])
+            assert out.stop_reason == ref.stop_reason
 
     @pytest.mark.parametrize("m", [0, 5])
     def test_bcd_sweep_by_hand_is_the_solve(self, m):
@@ -308,11 +309,35 @@ class TestBcdSolve:
         assert not report.feasible and report.sweeps == []
         assert report.wsr_bits == 0.0 and report.iterations_used == 0
         assert report.wsr_trajectory == []
+        assert report.stop_reason == "infeasible"
         doc = report.to_dict()
         assert doc["wsr_trajectory"] == [] and doc["iterations_used"] == 0
+        assert doc["stop_reason"] == "infeasible"
         for name in ("precoder_inner_iters", "phase_inner_iters",
                      "power_trajectory", "harvest_trajectory"):
             assert doc[name] == []
+
+    def test_stop_reason_is_the_rule_that_ended_the_loop(self):
+        # "converged" exactly when the last sweep moved the rate by less
+        # than eps relative, "sweep cap" when n_max sweeps ran without that;
+        # eps = 0 never stops, eps = inf stops after one sweep
+        for seed in range(4):
+            rng = np.random.default_rng(520 + seed)
+            ch, cfg_q, f0, phi0 = feasible_instance(rng, bench_config(m=5))
+            for eps, n_max in ((1e-4, 50), (1e-4, 3), (0.0, 4), (np.inf, 50),
+                               (1e-4, 0)):
+                report = bcd_solve(ch, cfg_q, (f0, phi0), eps=eps, n_max=n_max)
+                rates = [r for _, r in report.wsr_trajectory]
+                settled = (len(rates) > 1 and abs(rates[-1] - rates[-2])
+                           < eps * max(abs(rates[-1]), 1e-30))
+                assert report.stop_reason == ("converged" if settled
+                                              else "sweep cap")
+                assert settled or report.iterations_used == n_max
+                if eps == 0.0 or n_max == 0:
+                    assert not settled
+                if eps == np.inf:
+                    assert report.iterations_used == 1
+                assert report.to_dict()["stop_reason"] == report.stop_reason
 
     def test_no_irs_reduction_matches_precoder_only(self):
         rng = np.random.default_rng(4)

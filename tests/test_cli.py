@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import irs_swipt
-from irs_swipt import harness
+from irs_swipt import SolverError, harness
 from irs_swipt.cli import main
 
 from helpers import count_calls
@@ -187,6 +187,23 @@ class TestScenarioCommands:
         trajectory = doc["wsr_trajectory"]
         assert all(b[1] >= a[1] - 1e-9 for a, b in zip(trajectory,
                                                        trajectory[1:]))
+        assert doc["stop_reason"] in ("converged", "sweep cap")
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 1
+        assert printed[0].startswith("feasible=True ")
+        assert printed[0].endswith(f" ({doc['stop_reason']})")
+
+    def test_solver_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise SolverError("3 consecutive failed BCD sweeps")
+
+        monkeypatch.setattr(harness, "bcd_solve", failing)
+        scen = write(tmp_path, "scen.json", scenario_doc())
+        out = tmp_path / "report.json"
+        assert main(["solve", scen, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: 3 consecutive failed BCD sweeps\n"
 
     def test_solve_infeasible_scenario(self, tmp_path, capsys):
         doc = scenario_doc()
@@ -197,6 +214,7 @@ class TestScenarioCommands:
         assert doc["feasible"] is False
         assert doc["wsr_bits"] == 0.0 and doc["iterations_used"] == 0
         assert doc["wsr_trajectory"] == []
+        assert doc["stop_reason"] == "infeasible"
         assert doc["wall_time_s"] > 0
         assert len(doc["phases_real"]) == 10
 

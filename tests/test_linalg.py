@@ -4,7 +4,7 @@ import pytest
 from irs_swipt import effective_channels, harvested_power_quadratic
 from irs_swipt.errors import BracketError, ConditioningError
 from irs_swipt.linalg import (MAX_CONDITION, MAX_DOUBLINGS, ROOT_EPS,
-                              _bracketed_root, _momentum, herm,
+                              _bracketed_root, _momentum, _settled, herm,
                               hermitian_solve, inverse_logdet_pd)
 from irs_swipt.phase import eh_slack, mm_prepare
 from irs_swipt.precoder import (_probe, build_quadratic, power_of_lambda,
@@ -38,6 +38,29 @@ def price_excess(seed):
     j0 = eh_slack(0.0, state)
     q_hat = j0 + 0.75 * (2.0 * float(np.sum(np.abs(state.w))) - j0)
     return (lambda p: q_hat - eh_slack(p, state)), q_hat - j0
+
+
+class TestSettled:
+    def test_change_equal_to_the_tolerance_does_not_stop(self):
+        # |new - old| = 0.25 = rtol |new|, exactly in binary
+        assert not _settled(1.0, 1.25, 0.25)
+        assert _settled(1.0, 1.25, 0.25 + 2.0 ** -52)
+
+    def test_zero_tolerance_never_stops(self):
+        for new, old in ((1.0, 1.0), (0.0, 0.0), (-3.0, -3.0), (1.0, 2.0)):
+            assert not _settled(new, old, 0.0)
+
+    def test_signed_values_scale_by_the_magnitude_of_new(self):
+        # the phase objective f can be negative
+        assert _settled(-100.0, -100.5, 1e-2)
+        assert not _settled(-100.0, -102.0, 1e-2)
+        assert _settled(-100.0, -99.5, 1e-2)
+        assert not _settled(1.0, -1.0, 1.0)
+
+    def test_floor_at_new_zero(self):
+        assert _settled(0.0, 1e-31, 1.0)
+        assert not _settled(0.0, 1e-29, 1.0)
+        assert _settled(0.0, 0.0, 1e-8)
 
 
 class TestBracketedRoot:
