@@ -107,9 +107,9 @@ def mmse_refresh(f: np.ndarray, eff: EffectiveChannels,
     U_k = C_k^-1 Hbar_k F_k, its error covariance E_k = I - (Hbar_k F_k)^H U_k
     and the weight W_k = E_k^-1.  At these optima the rate of IR k equals
     -log det E_k, so the returned weighted sum rate (nats) needs no extra
-    solve.  One product gives every Hbar_k F_m; one batched solve over the
-    stacked C_k and one batched factorization of the stacked E_k give U, W
-    and every log det E_k.  Returns (U, W, wsr_nats).
+    solve.  One product gives every Hbar_k F_m; one condition-checked
+    eigendecomposition of the stacked C_k gives U, and one of the stacked
+    E_k gives W and every log det E_k.  Returns (U, W, wsr_nats).
     """
     hf = eff.hbar[:, None] @ f                          # [k, m] = Hbar_k F_m
     terms = hf @ herm(hf)

@@ -21,7 +21,7 @@ from .errors import SolverError
 from .feasibility import feasibility_check
 from .harness import (emit_results, load_experiment_spec, run_experiment,
                       solve_with_init, summarize)
-from .scenario import generate_scenario, load_scenario
+from .scenario import _check_int, generate_scenario, load_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,6 +87,7 @@ def _cmd_scenario(args) -> int:
     its JSON there and print a one-line summary, otherwise print the JSON."""
     config, geometry, seed = load_scenario(args.scenario)
     if args.seed is not None:
+        _check_int("seed", args.seed, 0)
         seed = args.seed
     channels = generate_scenario(config, geometry, seed)
     fields, summary = _evaluate(args.command, channels, config)
@@ -104,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     handler = _cmd_run if args.command == "run" else _cmd_scenario
     try:
         return handler(args)
-    except (ValueError, OSError, json.JSONDecodeError, SolverError) as exc:
+    except (ValueError, OSError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, SolverError) else 2
 

@@ -21,6 +21,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import TextIO
 
@@ -75,6 +76,9 @@ class ExperimentSpec:
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise ValueError(f"unknown methods {bad}; expected subset of {METHODS}")
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise ValueError("methods must be non-empty and distinct, "
+                             f"got {list(self.methods)}")
         if self.experiment == HARVEST_ONLY and "fixed-phase" in self.methods:
             raise ValueError("fixed-phase does not apply to the harvest sweep")
 
@@ -196,11 +200,6 @@ def run_trial(spec: ExperimentSpec, sweep_index: int, trial_index: int,
                        wall_time_s=wall)
 
 
-def _run_cells(args):
-    spec, cells = args
-    return [run_trial(spec, *cell) for cell in cells]
-
-
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[TrialResult]:
     """Run the full grid; partial failures never abort the sweep.
 
@@ -210,26 +209,21 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> list[TrialResult]:
     and the last chunk to finish leaves the other workers idle for only a
     small share of the run.  Every cell's result depends only on its own
     seed, so it is the same at any worker count.  Results come back ordered
-    by (sweep index, trial, method) regardless of worker scheduling.
+    by (sweep index, trial, method name) regardless of worker scheduling.
     """
     _check_int("threads", threads, 1)
     threads = min(threads, os.cpu_count() or 1)
     cells = [(si, ti, method)
              for si in range(len(spec.sweep))
              for ti in range(spec.trials)
-             for method in spec.methods]
+             for method in sorted(spec.methods)]
     if threads == 1:
-        results = [run_trial(spec, *cell) for cell in cells]
-    else:
-        size = -(-len(cells) // (threads * CHUNKS_PER_WORKER))
-        chunks = [(spec, cells[i:i + size])
-                  for i in range(0, len(cells), size)]
-        workers = min(threads, len(chunks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_cells, chunks))
-        results = [r for part in parts for r in part]
-    by_cell = dict(zip(cells, results))
-    return [by_cell[cell] for cell in sorted(by_cell)]
+        return [run_trial(spec, *cell) for cell in cells]
+    size = -(-len(cells) // (threads * CHUNKS_PER_WORKER))
+    workers = min(threads, -(-len(cells) // size))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_trial, repeat(spec), *zip(*cells),
+                             chunksize=size))
 
 
 def summarize(results: list[TrialResult]) -> dict[tuple[float, str], dict]:

@@ -1,9 +1,10 @@
 """Small complex linear-algebra helpers shared by the metrics and solvers.
 
-All rate/MSE computations go through Hermitian solves or Cholesky factors;
-explicit inverses are avoided except for the tiny d-by-d weight matrices.
-herm, hermitianize and the checked factorizations act on the last two axes,
-so a (..., n, n) stack (one matrix per user) is factored in one call.
+The solver's Hermitian solves, inverses and log-dets come from one
+condition-checked eigendecomposition per system, _checked_eigh; the
+metrics' reference log-dets keep their own Cholesky factor.  herm,
+hermitianize and the checked kernels act on the last two axes, so a
+(..., n, n) stack (one matrix per user) is decomposed in one call.
 Both multiplier searches share one bracketed root search, and both
 fixed-point loops, the phase MM and the feasibility alternation, share one
 accelerator, the restarted momentum driver _momentum; every solver loop
@@ -29,32 +30,31 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + herm(a))
 
 
-def _checked_cholesky(a: np.ndarray) -> np.ndarray:
-    """Cholesky factor of each matrix of the Hermitian positive-definite a;
-    raises ConditioningError if any is past MAX_CONDITION (noise power > 0
-    keeps every system factored here well away from that)."""
-    a = hermitianize(a)
-    w = np.linalg.eigvalsh(a)
+def _checked_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w (ascending) and eigenvectors v of each matrix of the
+    Hermitian positive-definite a; raises ConditioningError if any is past
+    MAX_CONDITION (noise power > 0 keeps every system checked here well
+    away from that)."""
+    w, v = np.linalg.eigh(hermitianize(a))
     lo, hi = w[..., 0], w[..., -1]
     if not np.all(lo > 0.0) or np.any(hi / lo > MAX_CONDITION):
         cond = np.max(hi / np.maximum(lo, 1e-300))
         raise ConditioningError(f"condition {cond:.3e} > {MAX_CONDITION:.0e}")
-    return np.linalg.cholesky(a)
+    return w, v
 
 
 def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b for Hermitian positive-definite a (condition-checked)."""
-    c = _checked_cholesky(a)
-    return np.linalg.solve(herm(c), np.linalg.solve(c, b))
+    w, v = _checked_eigh(a)
+    return v @ ((herm(v) @ b) / w[..., :, None])
 
 
 def inverse_logdet_pd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitianized a^-1 and log det a from one condition-checked Cholesky
-    factor of each Hermitian positive-definite matrix of a."""
-    c = _checked_cholesky(a)
-    inv = np.linalg.solve(herm(c), np.linalg.inv(c))
-    logdet = 2.0 * np.sum(np.log(np.diagonal(c, 0, -2, -1).real), axis=-1)
-    return hermitianize(inv), logdet
+    """Hermitianized a^-1 and log det a from one condition-checked
+    eigendecomposition of each Hermitian positive-definite matrix of a."""
+    w, v = _checked_eigh(a)
+    return (hermitianize((v / w[..., None, :]) @ herm(v)),
+            np.sum(np.log(w), axis=-1))
 
 
 def logdet_pd(a: np.ndarray) -> float:

@@ -94,17 +94,17 @@ class SystemConfig:
         if not 0.0 < self.eh_efficiency <= 1.0:
             raise ValueError("eh_efficiency must be in (0, 1]")
         for name in ("power_budget", "noise_power_ir"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.eh_threshold < 0.0:
+        if not self.eh_threshold >= 0.0:
             raise ValueError("eh_threshold must be non-negative")
-        if self.rician_factor < 0.0:
+        if not self.rician_factor >= 0.0:
             raise ValueError("rician_factor must be non-negative")
         if len(self.rate_weights) != self.n_irs:
             raise ValueError("rate_weights length must equal n_irs")
         if len(self.eh_weights) != self.n_ers:
             raise ValueError("eh_weights length must equal n_ers")
-        if any(w <= 0.0 for w in self.rate_weights + self.eh_weights):
+        if not all(w > 0.0 for w in self.rate_weights + self.eh_weights):
             raise ValueError("all rate/eh weights must be strictly positive")
 
 
@@ -138,9 +138,9 @@ class Geometry:
             object.__setattr__(self, name, tuple(
                 map(float, _check_list(name, getattr(self, name), 2))))
         for name in ("er_center", "ir_center", "er_radius", "ir_radius"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.d0 <= 0.0:
+        if not self.d0 > 0.0:
             raise ValueError("d0 must be strictly positive")
 
     def with_er_center(self, x_er: float) -> "Geometry":
@@ -165,9 +165,9 @@ def path_loss_linear(distance: float, exponent: float, pl0_db: float = -30.0,
 
     Returns 10**(pl0_db/10) * (distance/d0)**(-exponent).
     """
-    if distance <= 0.0:
+    if not distance > 0.0:
         raise ValueError("distance must be strictly positive")
-    if d0 <= 0.0:
+    if not d0 > 0.0:
         raise ValueError("d0 must be strictly positive")
     return float(10.0 ** (pl0_db / 10.0) * (distance / d0) ** (-exponent))
 

@@ -59,16 +59,20 @@ class TestBatchedRefresh:
         assert wsr == pytest.approx(wsr_ref, rel=1e-12)
 
     @pytest.mark.parametrize("k_i", [1, 2, 3, 4])
-    def test_two_eigvalsh_calls_for_any_user_count(self, monkeypatch, k_i):
-        # one condition check for the stacked C_k, one for the stacked E_k
+    def test_two_eigh_calls_for_any_user_count(self, monkeypatch, k_i):
+        # one checked eigendecomposition of the stacked C_k, one of the
+        # stacked E_k
         rng = np.random.default_rng(50 + k_i)
         cfg = bench_config(k_i=k_i, d=1)
         ch = random_channels(rng, cfg)
         eff = effective_channels(ch, unit_phases(rng, cfg.n_elements), cfg)
         f = random_precoders(rng, cfg)
-        checks = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        checks = count_calls(monkeypatch, np.linalg, "eigh")
+        others = [count_calls(monkeypatch, np.linalg, name)
+                  for name in ("eigvalsh", "cholesky", "solve", "inv")]
         mmse_refresh(f, eff, cfg)
         assert len(checks) == 2
+        assert all(calls == [] for calls in others)
 
 
 class TestDecoderUpdate:

@@ -165,6 +165,23 @@ class TestScenarioCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["seed"] == 77
 
+    @pytest.mark.parametrize("command", ["check-feasibility", "solve"])
+    def test_negative_seed_override_fails_naming_seed(self, tmp_path, capsys,
+                                                      command):
+        scen = write(tmp_path, "scen.json", scenario_doc())
+        assert main([command, scen, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: seed must be an integer >= 0")
+
+    def test_nan_power_budget_fails_naming_the_field(self, tmp_path, capsys):
+        # it failed inside the solve with "Eigenvalues did not converge"
+        doc = scenario_doc()
+        doc["config"]["power_budget"] = float("nan")
+        scen = write(tmp_path, "nan.json", doc)
+        assert main(["solve", scen]) == 2
+        err = capsys.readouterr().err
+        assert "nan.json" in err and "power_budget must be" in err
+
     def test_check_feasibility_out_prints_summary(self, tmp_path, capsys):
         scen = write(tmp_path, "scen.json", scenario_doc())
         out = tmp_path / "feasibility.json"

@@ -267,6 +267,19 @@ class TestRunExperiment:
         par = run_experiment(spec, threads=2)
         assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
 
+    def test_results_ordered_by_sweep_index_trial_and_method_name(
+            self, monkeypatch):
+        monkeypatch.setattr(harness, "CHUNKS_PER_WORKER", 2)
+        spec = quick_spec(experiment="max-harvest-vs-distance",
+                          sweep=[6.0, 4.0], trials=2,
+                          methods=("no-irs", "bcd"))
+        seq = run_experiment(spec, threads=1)
+        par = run_experiment(spec, threads=2)
+        assert [(r.sweep_value, r.method) for r in seq] == [
+            (v, m) for v in (6.0, 4.0) for _ in range(2)
+            for m in ("bcd", "no-irs")]
+        assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
+
     @pytest.mark.parametrize("cells", [1, 5])
     @pytest.mark.parametrize("method", ["bcd", "no-irs"])
     @pytest.mark.parametrize("experiment,sweep", [
@@ -306,8 +319,8 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return list(map(fn, items))
+            def map(self, fn, *iterables, chunksize=1):
+                return list(map(fn, *iterables))
 
         spec = quick_spec(trials=2, methods=("no-irs",), sweep=[6.0, 10.0])
         seq = run_experiment(spec, threads=1)
@@ -352,6 +365,10 @@ class TestRunExperiment:
             quick_spec(sweep="45")
         with pytest.raises(ValueError, match="^methods must be a list"):
             quick_spec(methods="bcd")
+        # a repeated method ran every cell twice; no method runs no cell
+        for methods in (("no-irs", "no-irs"), ("bcd", "no-irs", "bcd"), ()):
+            with pytest.raises(ValueError, match="^methods must be non-empty"):
+                quick_spec(methods=methods)
         # every sweep value is bound when the spec is built
         with pytest.raises(ValueError, match="n_elements"):
             quick_spec(sweep=[8.0, -4.0])

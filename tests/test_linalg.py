@@ -182,6 +182,17 @@ class TestMomentumDriver:
         assert points == [] and calls == []
 
 
+class TestHermitianSolve:
+    def test_matches_dense_solve(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 5):
+            x = crandn(rng, n, n)
+            a = x @ herm(x) + 0.1 * np.eye(n)
+            b = crandn(rng, n, 3)
+            got, ref = hermitian_solve(a, b), np.linalg.solve(a, b)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestInverseLogdet:
     def test_matches_dense_inverse_and_slogdet(self):
         rng = np.random.default_rng(3)
@@ -214,6 +225,19 @@ class TestBatchedFactorization:
             inv_k, logdet_k = inverse_logdet_pd(a[k])
             np.testing.assert_array_equal(inv[k], inv_k)
             assert logdet[k] == logdet_k
+
+    def test_half_the_bound_passes(self):
+        # condition MAX_CONDITION / 2: the check is no stricter than the bound
+        a = np.stack((np.eye(2), np.diag([1.0, 2.0 / MAX_CONDITION])))
+        a = a.astype(complex)
+        b = np.ones((2, 2, 1), dtype=complex)
+        np.testing.assert_allclose(hermitian_solve(a, b)[1, :, 0],
+                                   [1.0, 0.5 * MAX_CONDITION], rtol=1e-12)
+        inv, logdet = inverse_logdet_pd(a)
+        np.testing.assert_allclose(np.diagonal(inv[1]).real,
+                                   [1.0, 0.5 * MAX_CONDITION], rtol=1e-12)
+        assert logdet[1] == pytest.approx(np.log(2.0 / MAX_CONDITION),
+                                          rel=1e-12)
 
     @pytest.mark.parametrize("second", [
         np.diag([1.0, 0.5 / MAX_CONDITION]),    # twice the bound

@@ -30,6 +30,10 @@ class TestPathLoss:
             path_loss_linear(-1.0, 2.0)
         with pytest.raises(ValueError):
             path_loss_linear(1.0, 2.0, d0=0.0)
+        with pytest.raises(ValueError, match="^distance"):
+            path_loss_linear(float("nan"), 2.0)
+        with pytest.raises(ValueError, match="^d0"):
+            path_loss_linear(1.0, 2.0, d0=float("nan"))
 
 
 class TestSteeringVector:
@@ -233,6 +237,12 @@ class TestGenerateScenario:
         with pytest.raises(ValueError, match=f"^{name} must"):
             Geometry(**{name: value})
 
+    @pytest.mark.parametrize("name", [
+        "er_center", "ir_center", "er_radius", "ir_radius", "d0"])
+    def test_nan_fails_at_construction(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            Geometry(**{name: float("nan")})
+
     def test_irs_follows_er_center_by_default(self):
         geom = Geometry(er_center=7.5)
         assert geom.irs_position == (7.5, 2.0)
@@ -280,6 +290,23 @@ class TestConfigValidation:
             SystemConfig(eh_efficiency=0.0)
         with pytest.raises(ValueError):
             SystemConfig(eh_efficiency=1.5)
+
+    @pytest.mark.parametrize("name", [
+        "power_budget", "noise_power_ir", "eh_threshold", "rician_factor",
+        "rate_weights", "eh_weights"])
+    def test_nan_fails_at_construction(self, name):
+        # a NaN passed every "x <= 0" test: a NaN power budget failed only
+        # inside the solve, a NaN threshold reported every draw infeasible
+        nan, weights = float("nan"), name.endswith("weights")
+        value = (nan,) + getattr(SystemConfig(), name)[1:] if weights else nan
+        with pytest.raises(ValueError, match=(
+                "weights must be strictly positive" if weights
+                else f"^{name} must")):
+            SystemConfig(**{name: value})
+
+    def test_unreachable_threshold_stays_legal(self):
+        # the harvest sweep runs the alternation at an infinite threshold
+        assert SystemConfig(eh_threshold=float("inf")).eh_threshold == np.inf
 
     def test_defaults_are_consistent(self):
         cfg = SystemConfig()
