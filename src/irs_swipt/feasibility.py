@@ -1,26 +1,27 @@
 """Feasibility check: maximize harvested power over (F, phi) by alternation.
 
 The harvest maximization splits cleanly: for fixed phases, the optimal
-precoder is rank-one energy beamforming along the top eigenvector of the
+precoder is rank-one energy beamforming along the top eigenvector b of the
 harvest matrix G, giving Q = lambda_max(G) * P_T; for fixed precoders, one
 SCA ascent step aligns the phases with the harvest gradient, read from the
-ER composites the precoder step was built on, so no M x M form is
-assembled.  Both steps can only increase Q.  A map is a phase step and the
-precoder step at the new phases, building only gbar and G; FEAS_MAX_ITER
-counts maps.  The maps run through the phase block's restarted momentum
-(linalg._momentum): from the third map after the start or after a
-restart, the phase step is taken from the current F and from the ER
-composites at y_k = phi_k + beta_k (phi_k - phi_{k-1}), which are affine
-in phi and so are (1 + beta_k) gbar_k - beta_k gbar_{k-1}, with no new
-build.  That map is kept if its Q is no lower than Q_k; otherwise the loop
-restarts with the plain map, and both count against FEAS_MAX_ITER.  The
-alternation stops as soon as a kept map's Q clears the threshold (the
-problem is then feasible and the point initializes the BCD solver),
-changes by less than STALL_RTOL relative from the map before, or the maps
-run out.  No extrapolation comes before two maps, so a check decided
-within two steps is the plain alternation's.  The returned F is rank-one;
-bcd_solve spreads it over the streams itself, so any feasible (F, phi) is
-a start.
+ER composites the beamforming step was built on, so no M x M form is
+assembled.  Both steps can only increase Q.  The loop carries the unit
+beam b, not the precoder: a map is a phase step from b and the beam at the
+new phases, building only gbar and G, and FEAS_MAX_ITER counts maps.  The
+rank-one F is filled once per check, at the returned point.  The maps run
+through the phase block's restarted momentum (linalg._momentum): from the
+third map after the start or after a restart, the phase step is taken
+from the current b and from the ER composites at y_k = phi_k + beta_k
+(phi_k - phi_{k-1}), which are affine in phi and so are (1 + beta_k)
+gbar_k - beta_k gbar_{k-1}, with no new build.  That map is kept if its Q
+is no lower than Q_k; otherwise the loop restarts with the plain map, and
+both count against FEAS_MAX_ITER.  The alternation stops as soon as a kept
+map's Q clears the threshold (the problem is then feasible and the point
+initializes the BCD solver), changes by less than STALL_RTOL relative from
+the map before, or the maps run out.  No extrapolation comes before two
+maps, so a check decided within two steps is the plain alternation's.
+The returned F is rank-one; bcd_solve spreads it over the streams itself,
+so any feasible (F, phi) is a start.
 """
 
 from __future__ import annotations
@@ -35,41 +36,54 @@ FEAS_MAX_ITER = 200
 STALL_RTOL = 1e-8
 
 
-def max_eh_precoder(g: np.ndarray,
-                    config: SystemConfig) -> tuple[np.ndarray, float]:
-    """Energy beamforming: split P_T equally over IRs along the top
-    eigenvector of the Hermitian harvest matrix g.
+def max_eh_beam(g: np.ndarray,
+                config: SystemConfig) -> tuple[np.ndarray, float]:
+    """Energy beamforming direction: (b, Q) with b the unit top eigenvector
+    of the Hermitian harvest matrix g and Q = lambda_max(G) * P_T.
 
-    Returns (F, Q) with Q = lambda_max(G) * P_T and sum_k ||F_k||^2 = P_T.
     eigh reads only the lower triangle of g, which harvest_channels makes
     exactly Hermitian, so g is not symmetrized again here.
     """
     w, v = np.linalg.eigh(g)
+    return v[:, -1], float(w[-1]) * config.power_budget
+
+
+def energy_precoder(b: np.ndarray, config: SystemConfig) -> np.ndarray:
+    """The rank-one energy beamformer along the unit beam b: P_T split
+    equally over the IRs on stream column 0, so sum_k ||F_k||^2 = P_T."""
     f = np.zeros((config.n_irs, config.n_bs_antennas, config.n_streams),
                  dtype=complex)
-    f[:, :, 0] = np.sqrt(config.power_budget / config.n_irs) * v[:, -1]
-    return f, float(w[-1]) * config.power_budget
+    f[:, :, 0] = np.sqrt(config.power_budget / config.n_irs) * b
+    return f
 
 
-def max_eh_phase_step(f: np.ndarray, gbar: np.ndarray, z: np.ndarray,
-                      g_r_conj: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """One SCA ascent step on the harvest objective with F fixed.
+def eh_phase_weights(channels: ChannelSet,
+                     config: SystemConfig) -> np.ndarray:
+    """The weighted reflected ER links of max_eh_phase_step, w_r =
+    diag(alpha_l eta) conj(G_r,l) stacked over the ERs (K_E N_E x M)."""
+    scale = config.eh_efficiency * np.asarray(config.eh_weights)
+    k_e, n_e, m = channels.g_r.shape
+    return (scale[:, None, None] * channels.g_r.conj()).reshape(k_e * n_e, m)
 
-    gbar holds the ER composites at the anchor phases, z is Z, g_r_conj is
-    conj(G_r) and scale the per-ER factors alpha_l * eta.  The step aligns
-    with the Wirtinger gradient of Q(phi) = eta sum_l alpha_l ||Gbar_l F||^2,
 
-        w = dQ/dphi* = eta sum_l alpha_l diag(G_r,l^H Gbar_l F~ Z^H),
+def max_eh_phase_step(b: np.ndarray, gbar: np.ndarray, z: np.ndarray,
+                      w_r: np.ndarray) -> np.ndarray:
+    """One SCA ascent step on the harvest objective with the beam b fixed.
 
-    contracted from Gbar_l F~ Z^H = (Gbar_l [F_1 ... F_K]) (Z [F_1 ... F_K])^H
-    in O(K_E N_E K_I d M) with no M x M array.  Maximizing the linearization
-    of the convex Q keeps Q non-decreasing.  Zero gradient entries map to
-    phase 1.
+    gbar holds the ER composites at the anchor phases, z is Z and w_r the
+    weighted reflected ER links (eh_phase_weights).  For F_k =
+    sqrt(P_T / K_I) b on stream 0, the Wirtinger gradient of Q(phi) =
+    eta sum_l alpha_l ||Gbar_l F||^2 is
+
+        dQ/dphi* = P_T conj(Z b) o (vec(Gbar b)^T w_r),
+
+    two matrix-vector products (Z b, Gbar b) and one (K_E N_E) x M
+    contraction, in O(K_E N_E (N_B + M) + M N_B) with no M x M array.  The
+    step drops the positive factor P_T, which the phase does not see.
+    Maximizing the linearization of the convex Q keeps Q non-decreasing.
+    Zero gradient entries map to phase 1.
     """
-    stacked = np.concatenate(f, axis=1)                 # [F_1 ... F_K]
-    cross = (gbar @ stacked) @ (z @ stacked).conj().T
-    grad = np.einsum("l,lnm,lnm->m", scale, g_r_conj, cross)
-    return unit_phase(grad)
+    return unit_phase((z @ b).conj() * ((gbar @ b).reshape(-1) @ w_r))
 
 
 def spread_streams(f: np.ndarray, g: np.ndarray,
@@ -119,29 +133,28 @@ def feasibility_check(channels: ChannelSet, config: SystemConfig) -> tuple:
     """(feasible, F, phi, Q) at the best Q mapped; see the module notes."""
     qbar = config.eh_threshold
     scale = config.eh_efficiency * np.asarray(config.eh_weights)
-    g_r_conj = channels.g_r.conj()
+    w_r = eh_phase_weights(channels, config)
 
     def at(phi: np.ndarray) -> tuple:
-        """(F, Q, phi, gbar) with F the energy beamformer at phi."""
+        """(b, Q, phi, gbar) with b the energy beam at phi."""
         gbar, g = harvest_channels(channels, phi[:, None] * channels.z, scale)
-        return (*max_eh_precoder(g, config), phi, gbar)
+        return (*max_eh_beam(g, config), phi, gbar)
 
-    def step(f: np.ndarray, gbar: np.ndarray) -> tuple:
-        """One map: the phase step from F and the ER composites gbar."""
-        return at(max_eh_phase_step(f, gbar, channels.z, g_r_conj, scale))
+    def step(b: np.ndarray, gbar: np.ndarray) -> tuple:
+        """One map: the phase step from b and the ER composites gbar."""
+        return at(max_eh_phase_step(b, gbar, channels.z, w_r))
 
     def extrapolated(x: tuple, prev: tuple, beta: float) -> tuple | None:
         nxt = step(x[0], (1.0 + beta) * x[3] - beta * prev[3])
         return nxt if nxt[1] >= x[1] else None
 
-    f, q, phi, _ = start = at(np.ones(config.n_elements, dtype=complex))
-    best = (q >= qbar, f, phi, q)
-    if q >= qbar or config.n_elements == 0:
-        return best
-    for prev, (f, q, phi, _) in _momentum(lambda x: step(x[0], x[3]),
-                                          extrapolated, start, FEAS_MAX_ITER):
-        if q > best[3]:
-            best = (q >= qbar, f, phi, q)
-        if q >= qbar or _settled(q, prev[1], STALL_RTOL):
-            break
-    return best
+    best = start = at(np.ones(config.n_elements, dtype=complex))
+    if not (start[1] >= qbar or config.n_elements == 0):
+        for prev, x in _momentum(lambda x: step(x[0], x[3]), extrapolated,
+                                 start, FEAS_MAX_ITER):
+            if x[1] > best[1]:
+                best = x
+            if x[1] >= qbar or _settled(x[1], prev[1], STALL_RTOL):
+                break
+    b, q, phi, _ = best
+    return q >= qbar, energy_precoder(b, config), phi, q

@@ -69,8 +69,10 @@ def frob_sq(a: np.ndarray) -> float:
 
 
 def unit_phase(z: np.ndarray) -> np.ndarray:
-    """exp(j arg(z)) entrywise, with arg(0) := 0 so zero entries map to 1."""
-    return np.exp(1j * np.arctan2(z.imag, z.real))
+    """exp(j arg(z)) entrywise, with arg(0) := 0 so zero entries map to 1
+    whatever the signs of their zero parts (adding 0.0 turns a real part
+    of -0.0 into +0.0 and leaves every other one as it is)."""
+    return np.exp(1j * np.arctan2(z.imag, z.real + 0.0))
 
 
 def _settled(new: float, old: float, rtol: float) -> bool:

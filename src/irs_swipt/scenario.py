@@ -33,6 +33,7 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from itertools import accumulate
+from math import inf, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,8 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 COUNT_FIELDS = ("n_bs_antennas", "n_ir_antennas", "n_er_antennas", "n_irs",
                 "n_ers", "n_streams", "n_elements")
+EXPONENT_FIELDS = ("alpha_bs_irs", "alpha_irs_er", "alpha_irs_ir",
+                   "alpha_bs_ir", "alpha_bs_er")
 
 
 def _check_int(name: str, value, low: int | None = None) -> None:
@@ -134,12 +137,22 @@ class Geometry:
     def __post_init__(self):
         if self.irs_position is None:
             object.__setattr__(self, "irs_position", (self.er_center, 2.0))
-        for name in ("bs_position", "irs_position"):
-            object.__setattr__(self, name, tuple(
-                map(float, _check_list(name, getattr(self, name), 2))))
         for name in ("er_center", "ir_center", "er_radius", "ir_radius"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
+        for name in ("bs_position", "irs_position"):
+            position = tuple(map(float, _check_list(name, getattr(self, name),
+                                                    2)))
+            if not (isfinite(position[0]) and isfinite(position[1])):
+                raise ValueError(f"{name} must hold two finite numbers, "
+                                 f"got {position!r}")
+            object.__setattr__(self, name, position)
+        for name in EXPONENT_FIELDS:
+            if not 0.0 <= getattr(self, name) < inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)!r}")
+        if not isfinite(self.pl0_db):
+            raise ValueError(f"pl0_db must be finite, got {self.pl0_db!r}")
         if not self.d0 > 0.0:
             raise ValueError("d0 must be strictly positive")
 

@@ -10,10 +10,11 @@ from dataclasses import replace
 
 import numpy as np
 
+import irs_swipt.feasibility as feasibility
 from irs_swipt import SystemConfig, effective_channels
 from irs_swipt.bcd import mmse_refresh
 from irs_swipt.linalg import (_momentum, herm, hermitian_solve,
-                              hermitianize, inverse_logdet_pd, unit_phase)
+                              hermitianize, inverse_logdet_pd)
 from irs_swipt.metrics import EffectiveChannels
 from irs_swipt.phase import (MmState, PhaseIterate, PhaseQcqpData,
                              assemble_phase_qcqp, mm_prepare, price_bisection)
@@ -521,43 +522,48 @@ def effective_channels_loop(channels, phi, config):
     return EffectiveChannels(hbar=hbar, gbar=gbar, g=hermitianize(g))
 
 
+def energy_precoder_loop(b, config):
+    """The rank-one energy beamformer along the unit beam b, filled one IR
+    at a time with an equal share of P_T on stream column 0."""
+    f = np.zeros((config.n_irs, config.n_bs_antennas, config.n_streams),
+                 dtype=complex)
+    amp = np.sqrt(config.power_budget / config.n_irs)
+    for k in range(config.n_irs):
+        f[k, :, 0] = amp * b
+    return f
+
+
 def eh_steps_loop(channels, config):
     """The two steps of the feasibility alternation on full effective
-    channels: (energy beamforming from eff.g, phase ascent from F and
-    eff.gbar), each written out from its definition."""
+    channels: (the energy beam b and Q = lambda_max(G) P_T from eff.g,
+    written out from its definition; the phase step from b and eff.gbar,
+    feasibility.max_eh_phase_step on feasibility.eh_phase_weights, whose
+    formula TestMaxEhPhaseStep pins against an oracle)."""
+    w_r = feasibility.eh_phase_weights(channels, config)
 
-    def max_eh_precoder(eff):
+    def max_eh_beam(eff):
         w, v = np.linalg.eigh(hermitianize(eff.g))
-        chi, b = float(w[-1]), v[:, -1]
-        f = np.zeros((config.n_irs, config.n_bs_antennas, config.n_streams),
-                     dtype=complex)
-        amp = np.sqrt(config.power_budget / config.n_irs)
-        for k in range(config.n_irs):
-            f[k, :, 0] = amp * b
-        return f, chi * config.power_budget
+        return v[:, -1], float(w[-1]) * config.power_budget
 
-    def max_eh_phase_step(f, eff):
-        stacked = np.concatenate(f, axis=1)                 # [F_1 ... F_K]
-        cross = (eff.gbar @ stacked) @ (channels.z @ stacked).conj().T
-        weights = config.eh_efficiency * np.asarray(config.eh_weights)
-        grad = np.einsum("l,lnm,lnm->m", weights, channels.g_r.conj(), cross)
-        return unit_phase(grad)
+    def max_eh_phase_step(b, eff):
+        return feasibility.max_eh_phase_step(b, eff.gbar, channels.z, w_r)
 
-    return max_eh_precoder, max_eh_phase_step
+    return max_eh_beam, max_eh_phase_step
 
 
 def feasibility_check_loop(channels, config, max_iter=200, stall_rtol=1e-8):
     """The momentum-accelerated feasibility alternation through the shared
     driver, with a full effective-channel build (effective_channels_loop)
     per step and the ER composites at an extrapolated point combined from
-    the last two builds; returns (feasible, F, phi, Q).  The reference that
-    feasibility_check must equal to the bit."""
-    max_eh_precoder, max_eh_phase_step = eh_steps_loop(channels, config)
+    the last two builds; returns (feasible, F, phi, Q) with F filled from
+    the best beam.  The reference that feasibility_check must equal to the
+    bit."""
+    max_eh_beam, max_eh_phase_step = eh_steps_loop(channels, config)
     qbar = config.eh_threshold
 
     def at(phi):
         eff = effective_channels_loop(channels, phi, config)
-        return (*max_eh_precoder(eff), phi, eff)
+        return (*max_eh_beam(eff), phi, eff)
 
     def mapped(x):
         return at(max_eh_phase_step(x[0], x[3]))
@@ -567,17 +573,17 @@ def feasibility_check_loop(channels, config, max_iter=200, stall_rtol=1e-8):
         nxt = at(max_eh_phase_step(x[0], replace(x[3], gbar=gbar)))
         return nxt if nxt[1] >= x[1] else None
 
-    f, q, phi, _ = start = at(np.ones(config.n_elements, dtype=complex))
-    best = (q >= qbar, f, phi, q)
-    if q >= qbar or config.n_elements == 0:
-        return best
-    for prev, (f, q, phi, _) in _momentum(mapped, extrapolated, start,
-                                          max_iter):
-        if q > best[3]:
-            best = (q >= qbar, f, phi, q)
-        if q >= qbar or abs(q - prev[1]) <= stall_rtol * max(q, 1e-300):
-            break
-    return best
+    b, q, phi, _ = start = at(np.ones(config.n_elements, dtype=complex))
+    best = (q >= qbar, b, phi, q)
+    if not (q >= qbar or config.n_elements == 0):
+        for prev, (b, q, phi, _) in _momentum(mapped, extrapolated, start,
+                                              max_iter):
+            if q > best[3]:
+                best = (q >= qbar, b, phi, q)
+            if q >= qbar or abs(q - prev[1]) <= stall_rtol * max(q, 1e-300):
+                break
+    feasible, b, phi, q = best
+    return feasible, energy_precoder_loop(b, config), phi, q
 
 
 def plain_driver(mapped, extrapolated, x, budget):
@@ -591,25 +597,27 @@ def plain_driver(mapped, extrapolated, x, budget):
 def feasibility_check_plain(channels, config, max_iter=200, stall_rtol=1e-8):
     """The feasibility alternation as a plain fixed-point loop, with a full
     effective-channel build (effective_channels_loop) per step; returns
-    (feasible, F, phi, Q).  The reference for the accelerated loop's
-    quality, and its output to the bit where two steps decide."""
-    max_eh_precoder, max_eh_phase_step = eh_steps_loop(channels, config)
+    (feasible, F, phi, Q) with F filled from the best beam.  The reference
+    for the accelerated loop's quality, and its output to the bit where two
+    steps decide."""
+    max_eh_beam, max_eh_phase_step = eh_steps_loop(channels, config)
 
     qbar = config.eh_threshold
     phi = np.ones(config.n_elements, dtype=complex)
     eff = effective_channels_loop(channels, phi, config)
-    f, q = max_eh_precoder(eff)
-    best = (q >= qbar, f, phi, q)
+    b, q = max_eh_beam(eff)
+    best = (q >= qbar, b, phi, q)
     for _ in range(0 if q >= qbar or config.n_elements == 0 else max_iter):
-        phi = max_eh_phase_step(f, eff)
+        phi = max_eh_phase_step(b, eff)
         eff = effective_channels_loop(channels, phi, config)
-        f, q_new = max_eh_precoder(eff)
+        b, q_new = max_eh_beam(eff)
         if q_new > best[3]:
-            best = (q_new >= qbar, f, phi, q_new)
+            best = (q_new >= qbar, b, phi, q_new)
         if q_new >= qbar or abs(q_new - q) <= stall_rtol * max(q_new, 1e-300):
             break
         q = q_new
-    return best
+    feasible, b, phi, q = best
+    return feasible, energy_precoder_loop(b, config), phi, q
 
 
 def harvest_gradient_fd(f, phi, channels, config, step=1e-4):

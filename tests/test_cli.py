@@ -253,6 +253,19 @@ class TestScenarioCommands:
         scen.write_text("{not json")
         assert main(["solve", str(scen)]) == 2
 
+    @pytest.mark.parametrize("name, value", [
+        ("alpha_bs_ir", -3.0), ("irs_position", [float("inf"), 2.0]),
+        ("pl0_db", float("nan"))])
+    def test_bad_geometry_fails_naming_the_field(self, tmp_path, capsys, name,
+                                                 value):
+        # an inf IRS coordinate or a negative exponent generated channels
+        doc = scenario_doc()
+        doc["geometry"][name] = value
+        scen = write(tmp_path, "geom.json", doc)
+        assert main(["check-feasibility", scen]) == 2
+        err = capsys.readouterr().err
+        assert "geom.json" in err and f"{name} must" in err
+
     def test_misspelled_scenario_key_fails(self, tmp_path, capsys):
         doc = scenario_doc()
         doc["geometry"]["er_centre"] = doc["geometry"].pop("er_center")

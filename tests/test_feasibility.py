@@ -4,7 +4,8 @@ import pytest
 import irs_swipt.feasibility as feasibility
 from irs_swipt import (effective_channels, feasibility_check,
                        harvested_power_quadratic)
-from irs_swipt.feasibility import (max_eh_phase_step, max_eh_precoder,
+from irs_swipt.feasibility import (eh_phase_weights, energy_precoder,
+                                   max_eh_beam, max_eh_phase_step,
                                    spread_streams)
 from irs_swipt.linalg import frob_sq, herm, unit_phase
 from irs_swipt.phase import assemble_phase_qcqp
@@ -14,9 +15,10 @@ from helpers import bench_config, count_calls, crandn, dense_form, \
     plain_driver, random_channels, random_precoders, unit_phases, wmmse_state
 
 
-def eh_scale(cfg):
-    """Per-ER harvest factors alpha_l * eta."""
-    return cfg.eh_efficiency * np.asarray(cfg.eh_weights)
+def unit_beam(rng, cfg):
+    """A random unit vector of length N_B."""
+    b = crandn(rng, cfg.n_bs_antennas)
+    return b / np.linalg.norm(b)
 
 
 class TestMaxEhPrecoder:
@@ -24,7 +26,7 @@ class TestMaxEhPrecoder:
         cfg = bench_config()
         c = 0.37
         g = c * np.eye(cfg.n_bs_antennas, dtype=complex)
-        f, q = max_eh_precoder(g, cfg)
+        _, q = max_eh_beam(g, cfg)
         assert q == pytest.approx(c * cfg.power_budget, rel=1e-12)
 
     def test_beats_random_precoders(self):
@@ -32,7 +34,8 @@ class TestMaxEhPrecoder:
         cfg = bench_config()
         x = crandn(rng, cfg.n_bs_antennas, cfg.n_bs_antennas)
         g = x @ herm(x)
-        f_star, q_star = max_eh_precoder(g, cfg)
+        b, q_star = max_eh_beam(g, cfg)
+        f_star = energy_precoder(b, cfg)
         assert q_star == pytest.approx(harvested_power_quadratic(f_star, g),
                                        rel=1e-9)
         for _ in range(10000):
@@ -43,7 +46,7 @@ class TestMaxEhPrecoder:
         rng = np.random.default_rng(1)
         cfg = bench_config()
         x = crandn(rng, cfg.n_bs_antennas, cfg.n_bs_antennas)
-        f, _ = max_eh_precoder(x @ herm(x), cfg)
+        f = energy_precoder(max_eh_beam(x @ herm(x), cfg)[0], cfg)
         assert np.sum(np.abs(f) ** 2) == pytest.approx(cfg.power_budget,
                                                        rel=1e-12)
         # all power on the first stream column
@@ -55,10 +58,12 @@ class TestMaxEhPhaseStep:
         rng = np.random.default_rng(2)
         cfg = bench_config(eh_weights=(0.4, 1.9))
         for _ in range(5):
-            ch, anchor, f, u, w = wmmse_state(rng, cfg)
+            b = unit_beam(rng, cfg)
+            ch, anchor, f, u, w = wmmse_state(rng, cfg,
+                                              f=energy_precoder(b, cfg))
             step = max_eh_phase_step(
-                f, effective_channels(ch, anchor, cfg).gbar, ch.z,
-                ch.g_r.conj(), eh_scale(cfg))
+                b, effective_channels(ch, anchor, cfg).gbar, ch.z,
+                eh_phase_weights(ch, cfg))
             oracle = harvest_gradient_fd(f, anchor, ch, cfg)
             data = assemble_phase_qcqp(u, w, f, ch, cfg)
             dense = data.g.conj() + dense_form(data.upsilon_factor) @ anchor
@@ -72,11 +77,12 @@ class TestMaxEhPhaseStep:
         cfg = bench_config()
         for _ in range(20):
             ch = random_channels(rng, cfg)
-            f = random_precoders(rng, cfg)
+            b = unit_beam(rng, cfg)
+            f = energy_precoder(b, cfg)
             anchor = unit_phases(rng, cfg.n_elements)
             eff = effective_channels(ch, anchor, cfg)
-            phi = max_eh_phase_step(f, eff.gbar, ch.z, ch.g_r.conj(),
-                                    eh_scale(cfg))
+            phi = max_eh_phase_step(b, eff.gbar, ch.z,
+                                    eh_phase_weights(ch, cfg))
             after = effective_channels(ch, phi, cfg)
             assert (harvested_power_quadratic(f, after.g)
                     >= harvested_power_quadratic(f, eff.g) - 1e-10)
@@ -86,10 +92,10 @@ class TestMaxEhPhaseStep:
         cfg = bench_config(m=3)
         ch = random_channels(rng, cfg)
         ch.g_r[:, :, 1] = 0.0
-        f = random_precoders(rng, cfg)
+        b = unit_beam(rng, cfg)
         anchor = unit_phases(rng, 3)
-        phi = max_eh_phase_step(f, effective_channels(ch, anchor, cfg).gbar,
-                                ch.z, ch.g_r.conj(), eh_scale(cfg))
+        phi = max_eh_phase_step(b, effective_channels(ch, anchor, cfg).gbar,
+                                ch.z, eh_phase_weights(ch, cfg))
         assert phi[1] == 1.0 + 0j
 
 
@@ -125,13 +131,13 @@ class TestFeasibilityCheck:
                 ch = random_channels(rng, cfg)
                 phi = np.ones(cfg.n_elements, dtype=complex)
                 eff = effective_channels(ch, phi, cfg)
-                f, q = max_eh_precoder(eff.g, cfg)
+                w_r = eh_phase_weights(ch, cfg)
+                b, q = max_eh_beam(eff.g, cfg)
                 values = [q]
                 for _ in range(15):
-                    phi = max_eh_phase_step(f, eff.gbar, ch.z, ch.g_r.conj(),
-                                            eh_scale(cfg))
+                    phi = max_eh_phase_step(b, eff.gbar, ch.z, w_r)
                     eff = effective_channels(ch, phi, cfg)
-                    f, q = max_eh_precoder(eff.g, cfg)
+                    b, q = max_eh_beam(eff.g, cfg)
                     values.append(q)
                 for a, b in zip(values, values[1:]):
                     assert b >= a - 1e-10 * max(1.0, a)
@@ -142,7 +148,7 @@ class TestFeasibilityCheck:
         ch = random_channels(rng, cfg)
         # pick a threshold known to be reachable: half the first-step value
         phi0 = np.ones(cfg.n_elements, dtype=complex)
-        _, q0 = max_eh_precoder(effective_channels(ch, phi0, cfg).g, cfg)
+        _, q0 = max_eh_beam(effective_channels(ch, phi0, cfg).g, cfg)
         cfg_q = bench_config(qbar=0.5 * q0)
         feasible, f, phi, q = feasibility_check(ch, cfg_q)
         assert feasible
@@ -158,7 +164,7 @@ class TestFeasibilityCheck:
         assert feasible
         assert phi.shape == (0,)
         eff = effective_channels(ch, phi, cfg)
-        _, q_direct = max_eh_precoder(eff.g, cfg)
+        _, q_direct = max_eh_beam(eff.g, cfg)
         assert q == pytest.approx(q_direct, rel=1e-12)
 
 
@@ -194,9 +200,9 @@ class TestMatchesPerStepBuild:
         # only the ER composites
         assert not hasattr(feasibility, "effective_channels")
         # ... and beyond that, each map, plain or extrapolated, kept or
-        # refused, is one phase step and one precoder step
+        # refused, is one phase step and one beamforming step
         steps = count_calls(monkeypatch, feasibility, "max_eh_phase_step")
-        precoders = count_calls(monkeypatch, feasibility, "max_eh_precoder")
+        beams = count_calls(monkeypatch, feasibility, "max_eh_beam")
         momentum, extrapolations = feasibility._momentum, []
 
         def counted(mapped, extrapolated, x, budget):
@@ -211,7 +217,38 @@ class TestMatchesPerStepBuild:
         feasibility_check(random_channels(rng, cfg), cfg)
         assert len(steps) >= 2
         assert len(extrapolations) >= 1
-        assert len(precoders) == len(steps) + 1
+        assert len(beams) == len(steps) + 1
+
+
+class TestReturnedPoint:
+    """The rank-one F that feasibility_check fills once, at the returned
+    point, from the best beam."""
+
+    @pytest.mark.parametrize("m", [0, 1, 37])
+    @pytest.mark.parametrize("k_e", [1, 3])
+    @pytest.mark.parametrize("threshold", ["zero", "reachable", "unreachable"])
+    def test_harvest_power_and_rank_of_the_returned_precoder(
+            self, monkeypatch, m, k_e, threshold):
+        kw = dict(m=m, k_e=k_e, eh_weights=(1.3, 0.4, 1.9)[:k_e])
+        rng = np.random.default_rng(1400 + 10 * m + k_e)
+        fills = count_calls(monkeypatch, feasibility, "energy_precoder")
+        for _ in range(4):
+            ch = random_channels(rng, bench_config(**kw))
+            q_first = feasibility_check(ch, bench_config(**kw))[3]
+            q_best = feasibility_check(ch, bench_config(qbar=np.inf, **kw))[3]
+            qbar = {"zero": 0.0, "reachable": 0.5 * (q_first + q_best),
+                    "unreachable": 10.0 * q_best}[threshold]
+            cfg = bench_config(qbar=qbar, **kw)
+            fills.clear()
+            feasible, f, phi, q = feasibility_check(ch, cfg)
+            assert len(fills) == 1
+            assert feasible == (threshold != "unreachable")
+            g = effective_channels(ch, phi, cfg).g
+            assert harvested_power_quadratic(f, g) == pytest.approx(
+                q, rel=1e-12)
+            assert frob_sq(f) == pytest.approx(cfg.power_budget, rel=1e-12)
+            assert np.all(f[:, :, 1:] == 0.0)
+            assert np.all(np.linalg.norm(f[:, :, 0], axis=1) > 0.0)
 
 
 class TestAcceleration:

@@ -101,13 +101,13 @@ class TestBaselines:
 
     def test_no_irs_harvest_equals_direct_eigenvalue(self):
         from irs_swipt import effective_channels
-        from irs_swipt.feasibility import max_eh_precoder
+        from irs_swipt.feasibility import max_eh_beam
         from irs_swipt.linalg import herm
         cfg = quick_config(m=10)
         ch = generate_scenario(cfg, quick_geometry(), seed=6)
         bare, cfg0 = surface_free(ch, cfg)
         eff = effective_channels(bare, np.ones(0, complex), cfg0)
-        _, q = max_eh_precoder(eff.g, cfg)
+        _, q = max_eh_beam(eff.g, cfg)
         g_direct = sum(cfg.eh_weights[el] * cfg.eh_efficiency
                        * herm(ch.g_b[el]) @ ch.g_b[el]
                        for el in range(cfg.n_ers))

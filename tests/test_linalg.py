@@ -5,7 +5,7 @@ from irs_swipt import effective_channels, harvested_power_quadratic
 from irs_swipt.errors import BracketError, ConditioningError
 from irs_swipt.linalg import (MAX_CONDITION, MAX_DOUBLINGS, ROOT_EPS,
                               _bracketed_root, _momentum, _settled, herm,
-                              hermitian_solve, inverse_logdet_pd)
+                              hermitian_solve, inverse_logdet_pd, unit_phase)
 from irs_swipt.phase import eh_slack, mm_prepare
 from irs_swipt.precoder import (_probe, build_quadratic, power_of_lambda,
                                 precoder_closed_form)
@@ -38,6 +38,21 @@ def price_excess(seed):
     j0 = eh_slack(0.0, state)
     q_hat = j0 + 0.75 * (2.0 * float(np.sum(np.abs(state.w))) - j0)
     return (lambda p: q_hat - eh_slack(p, state)), q_hat - j0
+
+
+class TestUnitPhase:
+    def test_signed_zeros_map_to_one(self):
+        # a product with a zero factor can carry -0.0 parts, whose arctan2
+        # is +-pi, not 0
+        z = np.array([complex(-0.0, -0.0), complex(-0.0, 0.0),
+                      complex(0.0, -0.0), 0j])
+        assert np.all(unit_phase(z) == 1.0)
+
+    def test_nonzero_entries_keep_their_angle(self):
+        rng = np.random.default_rng(50)
+        z = np.concatenate([crandn(rng, 64), [complex(-0.0, 2.0),
+                                              complex(-0.0, -2.0), -3.0]])
+        np.testing.assert_array_equal(unit_phase(z), np.exp(1j * np.angle(z)))
 
 
 class TestSettled:

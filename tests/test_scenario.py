@@ -6,7 +6,7 @@ import pytest
 from irs_swipt import (Geometry, SystemConfig, generate_scenario,
                        load_scenario, path_loss_linear, weighted_sum_rate)
 from irs_swipt.harness import derive_seed
-from irs_swipt.scenario import ChannelSet, steering_vector
+from irs_swipt.scenario import EXPONENT_FIELDS, ChannelSet, steering_vector
 
 from helpers import (generate_scenario_loops, random_precoders, rician_channel,
                      rician_channel_both_terms)
@@ -242,6 +242,37 @@ class TestGenerateScenario:
     def test_nan_fails_at_construction(self, name):
         with pytest.raises(ValueError, match=f"^{name} must"):
             Geometry(**{name: float("nan")})
+
+    @pytest.mark.parametrize("name, value", [
+        ("bs_position", (float("nan"), 0.0)),
+        ("bs_position", (0.0, -float("inf"))),
+        ("irs_position", (float("inf"), 2.0)),
+        ("irs_position", (5.0, float("nan")))])
+    def test_non_finite_position_fails_at_construction(self, name, value):
+        # a NaN failed only in the draw, as "distance must be strictly
+        # positive"; an inf coordinate generated channels
+        with pytest.raises(ValueError, match=f"^{name} must hold two finite"):
+            Geometry(**{name: value})
+
+    @pytest.mark.parametrize("name", EXPONENT_FIELDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -3.0])
+    def test_bad_path_loss_exponent_fails_at_construction(self, name, value):
+        # a negative exponent made the gain grow with distance
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite and non-negative"):
+            Geometry(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_non_finite_pl0_db_fails_at_construction(self, value):
+        with pytest.raises(ValueError, match="^pl0_db must be finite"):
+            Geometry(pl0_db=value)
+
+    def test_zero_exponent_is_a_distance_free_gain(self):
+        geom = Geometry(alpha_bs_er=0.0)
+        assert path_loss_linear(7.0, geom.alpha_bs_er, geom.pl0_db,
+                                geom.d0) == pytest.approx(1e-3, rel=1e-12)
+        generate_scenario(SystemConfig(n_elements=4), geom, seed=0)
 
     def test_irs_follows_er_center_by_default(self):
         geom = Geometry(er_center=7.5)
